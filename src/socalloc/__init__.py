@@ -24,9 +24,8 @@ from .model import (Decision, Instance, Request, RiskSpec, SolutionTrace,
                     instance_from_dict, instance_to_dict, load_instance,
                     load_trace, save_instance, save_trace, soc_lhs,
                     trace_from_dict, trace_to_dict, validate_instance)
-from .online import (VARIANTS, DualState, OnlineSolver, VariantConfig, decide,
-                     dual_update, dynamic_budget, marginal_soc_cost,
-                     reduced_values, run_online)
+from .online import (VARIANTS, DualState, OnlineSolver, VariantConfig,
+                     dynamic_budget, marginal_soc_cost, run_online)
 from .transform import LinearizedInstance, linearize, to_soc
 
 __version__ = "0.1.0"
@@ -37,12 +36,12 @@ __all__ = [
     "Instance", "LinearizedInstance", "MEAN_EXCESS_AT_ZERO", "MetricsReport",
     "OnlineSolver", "Request", "RiskSpec", "SocAllocError", "SolutionTrace",
     "StructuralError", "VARIANTS", "VariantConfig", "aggregate",
-    "build_report", "ce_violation", "decide", "dual_update", "dual_value",
+    "build_report", "ce_violation", "dual_value",
     "dual_value_and_subgradient", "dynamic_budget", "generate",
     "greedy_primal", "instance_from_dict", "instance_to_dict", "linearize",
     "load_instance", "load_trace", "marginal_soc_cost", "mean_excess",
     "mean_excess_inverse", "minimize_dual", "optimality_gap_and_ratio",
-    "probability_deviation", "reduced_values", "request_fields",
+    "probability_deviation", "request_fields",
     "run_experiment", "run_online", "run_trial", "safety_coefficient",
     "save_instance", "save_trace", "scaling_slope", "soc_lhs",
     "soc_violation", "std_normal_cdf", "std_normal_pdf",

@@ -27,7 +27,7 @@ from .metrics import build_report, csv_header, csv_row
 from .model import (Instance, RiskSpec, load_instance, load_trace,
                     save_instance, save_trace, validate_instance)
 from .online import VARIANTS, OnlineSolver, VariantConfig
-from .transform import linearize, to_soc
+from .transform import linearize, safety_coefficients, to_soc
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -134,6 +134,8 @@ def _cmd_generate(args) -> int:
     config = GeneratorConfig(
         experiment=_experiment_tag(args.experiment), n=args.n, m=args.m, k=args.k,
         d=args.d, eta=args.eta, gamma_tilde=args.gamma_tilde, seed=args.seed)
+    if args.eta is not None or args.gamma_tilde is not None:
+        safety_coefficients(config.risk())  # rejects a negative psi before writing
     if args.stream:
         for t in range(config.n):
             c, a_bar, k_diag = request_fields(config, t)
@@ -161,7 +163,7 @@ def _load_instance_checked(path: str) -> Instance:
 def _cmd_solve_online(args) -> int:
     instance = to_soc(_load_instance_checked(args.instance))
     lin = linearize(instance)
-    solver = OnlineSolver(instance, lin, VariantConfig(args.variant, args.seed),
+    solver = OnlineSolver(lin, VariantConfig(args.variant, args.seed),
                           record_steps=args.trace)
     trace = solver.run()
     save_trace(trace, args.out)

@@ -3,10 +3,14 @@
 A plan expands into (n, trial) cells.  Each cell derives its own seed
 from (master_seed, n, trial), generates one instance, computes one
 baseline, and runs every variant on that same instance, so variants are
-compared like-for-like.  Cells are independent and run on a small thread
-pool (capped by the SOC_ALLOC_THREADS environment variable); each cell
-writes its own part file and the parts are merged at the end, keyed by
-(n, trial), so reruns and interleavings produce byte-identical reports.
+compared like-for-like.  Cells of a plan with baselines run on
+min(4, cpu_count) threads, which overlap because the dual evaluations
+release the GIL; cells of a plan without baselines run one by one in
+order, since the online step loop holds the GIL.  Each cell writes its
+own part file and the parts are merged at the end, keyed by (n, trial),
+so reruns produce byte-identical reports.  Runs of the same plan with
+different n-grids or trial counts may share an output directory and
+union there; a fingerprint file in ``parts/`` refuses any other plan.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -22,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .baseline import DualCertificate, minimize_dual
-from .errors import ConvergenceError, DomainError
+from .errors import ConfigError, ConvergenceError
 from .generate import GeneratorConfig, generate
 from .metrics import MetricsReport, aggregate, build_report, csv_header, csv_row, scaling_slope
 from .online import VariantConfig, run_online
@@ -81,25 +84,70 @@ def run_trial(plan: ExperimentPlan, n: int, trial: int):
     return seed, status, results
 
 
+def _log_slope(lo, hi) -> float:
+    return float(np.log(hi[1] / lo[1]) / np.log(hi[0] / lo[0]))
+
+
 def _scaling_summary(per_variant_by_n: dict) -> dict:
-    """Log-log slopes of mean gap / violations against n, per variant."""
+    """Log-log scaling of mean gap / violations against n, per variant.
+
+    Per metric: ``n`` lists the grid points with a positive mean, the
+    ones ``fit`` (the least-squares slope over them) used; ``fit`` is
+    null with fewer than three such points.  ``last_pair`` is the slope
+    between the two largest grid points, null unless both are positive.
+    Metrics the plan does not measure (NaN means) are left out.
+    """
     out: dict = {}
     for variant, by_n in per_variant_by_n.items():
         ns = sorted(by_n)
         slopes = {}
         for metric in ("optimality_gap", "soc_violation", "ce_violation",
                        "normalized_ce_violation", "probability_deviation"):
-            pts = [(n, np.mean([getattr(r, metric) for r in by_n[n]])) for n in ns]
+            pts = [(n, float(np.mean([getattr(r, metric) for r in by_n[n]]))) for n in ns]
             if any(np.isnan(v) for _, v in pts):
                 continue
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    slopes[metric] = scaling_slope(pts)
-            except DomainError:
-                continue
+            kept = [(n, v) for n, v in pts if v > 0]
+            last = pts[-2:]
+            slopes[metric] = {
+                "n": [n for n, _ in kept],
+                "fit": scaling_slope(kept) if len(kept) >= 3 else None,
+                "last_pair": (_log_slope(*last) if len(last) == 2
+                              and min(v for _, v in last) > 0 else None),
+            }
         out[variant] = slopes
     return out
+
+
+def _plan_fingerprint(plan: ExperimentPlan) -> dict:
+    """What makes two runs' rows comparable: everything but the grid."""
+    gen = plan.generator
+
+    def floats(values):
+        return None if values is None else [float(x) for x in values]
+
+    return {
+        "experiment": gen.experiment, "m": gen.m, "k": gen.k,
+        "d": floats(gen.d), "eta": floats(gen.eta),
+        "gamma_tilde": floats(gen.gamma_tilde),
+        "variants": [v.variant for v in plan.variants],
+        "master_seed": int(plan.master_seed), "tol": float(plan.tol),
+        "compute_baseline": bool(plan.compute_baseline),
+    }
+
+
+def _claim_directory(parts_dir: Path, plan: ExperimentPlan) -> None:
+    """Write the plan fingerprint, or refuse a directory holding another plan's parts."""
+    path = parts_dir / "plan.json"
+    mine = _plan_fingerprint(plan)
+    if path.exists():
+        theirs = json.loads(path.read_text())
+        if theirs != mine:
+            fields = sorted(k for k in mine.keys() | theirs.keys()
+                            if mine.get(k) != theirs.get(k))
+            raise ConfigError(f"{parts_dir.parent} holds results of another plan "
+                              f"(differs in {', '.join(fields)}); use another output "
+                              f"directory")
+    path.write_text(json.dumps(mine, indent=2, sort_keys=True))
 
 
 def run_experiment(plan: ExperimentPlan) -> dict:
@@ -111,6 +159,7 @@ def run_experiment(plan: ExperimentPlan) -> dict:
     out_dir = Path(plan.output_dir)
     parts_dir = out_dir / "parts"
     parts_dir.mkdir(parents=True, exist_ok=True)
+    _claim_directory(parts_dir, plan)
 
     cells = [(int(n), t) for n in plan.n_grid for t in range(plan.trials)]
     m = plan.generator.m
@@ -128,7 +177,7 @@ def run_experiment(plan: ExperimentPlan) -> dict:
         part.write_text("".join(lines))
         return cell, seed, status, results
 
-    workers = int(os.environ.get("SOC_ALLOC_THREADS", "0")) or min(4, os.cpu_count() or 1)
+    workers = min(4, os.cpu_count() or 1) if plan.compute_baseline else 1
     if workers > 1 and len(cells) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(work, cells))

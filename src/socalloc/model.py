@@ -76,6 +76,9 @@ class RiskSpec:
             v = getattr(self, name)
             if v is not None:
                 object.__setattr__(self, name, _frozen(v))
+        lengths = {len(v) for v in (self.eta, self.gamma_tilde, self.psi) if v is not None}
+        if len(lengths) > 1:
+            raise StructuralError(f"risk spec entries differ in length: {sorted(lengths)}")
 
     @property
     def m(self) -> int | None:
@@ -164,8 +167,7 @@ class SolutionTrace:
     ``mean_consumption[j]`` accumulates the chosen mean consumptions and
     ``variance_accum[j]`` the chosen variances, so the cone-form usage
     of resource j is ``mean_consumption[j] + psi[j] *
-    sqrt(variance_accum[j])``.  ``dual_path`` (shape (n, m), price
-    vector after each update) is only recorded on request.
+    sqrt(variance_accum[j])``.
     """
 
     decisions: tuple
@@ -173,14 +175,11 @@ class SolutionTrace:
     mean_consumption: np.ndarray
     variance_accum: np.ndarray
     max_dual_inf: float = 0.0
-    dual_path: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "decisions", tuple(self.decisions))
         object.__setattr__(self, "mean_consumption", _frozen(self.mean_consumption))
         object.__setattr__(self, "variance_accum", _frozen(self.variance_accum))
-        if self.dual_path is not None:
-            object.__setattr__(self, "dual_path", _frozen(self.dual_path))
 
 
 def soc_lhs(trace: SolutionTrace, instance: Instance) -> np.ndarray:

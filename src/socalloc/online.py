@@ -21,8 +21,12 @@ linear surrogate:
 Both corrections use only information revealed so far, and both collapse
 to the vanilla algorithm when psi = 0.
 
-Each run is strictly sequential; decisions are never revised.  Distinct
-runs share nothing and may execute concurrently.
+The rule runs in one place, :meth:`OnlineSolver.step`, for every
+variant; the variants differ only in the columns they price and the
+target of the dual step.  The solver reads the instance from its
+:class:`LinearizedInstance`, and its one opt-in recorder (``record_steps``)
+keeps the prices after every step.  Each run is strictly sequential;
+decisions are never revised.  Distinct runs share nothing.
 """
 
 from __future__ import annotations
@@ -87,15 +91,6 @@ class DualState:
             self.g_accum = np.zeros(m)
 
 
-def reduced_values(prices: np.ndarray, revenue: np.ndarray,
-                   columns: np.ndarray) -> np.ndarray:
-    """Revenue minus priced consumption, one value per scheme.
-
-    ``columns`` is the (m, k) pricing matrix for the current request.
-    """
-    return revenue - prices @ columns
-
-
 def tie_rng(seed: int, t: int) -> np.random.Generator:
     """Tie-breaking stream for step t; depends only on (seed, t), so runs
     that agree on the argmax set of a step draw the same scheme there."""
@@ -110,23 +105,6 @@ def _choose(values: np.ndarray, seed: int, t: int) -> Decision:
     if len(ties) == 1:
         return int(ties[0])
     return int(tie_rng(seed, t).choice(ties))
-
-
-def decide(state: DualState, revenue: np.ndarray, columns: np.ndarray,
-           config: VariantConfig) -> Decision:
-    """Pick a scheme (or skip) for the current request.
-
-    Accepts only when the best reduced value is strictly positive, and
-    breaks exact ties uniformly with the per-step stream.
-    """
-    values = reduced_values(state.prices, revenue, columns)
-    return _choose(values, config.rng_seed, state.t)
-
-
-def dual_update(prices: np.ndarray, consumption: np.ndarray,
-                d_target: np.ndarray, step_size: float) -> np.ndarray:
-    """Projected subgradient price step: max(p + step*(cons - d), 0)."""
-    return np.maximum(prices + step_size * (consumption - d_target), 0.0)
 
 
 def marginal_soc_cost(state: DualState, a_bar: np.ndarray, k_diag: np.ndarray,
@@ -155,36 +133,37 @@ def dynamic_budget(state: DualState, d: np.ndarray, n: int) -> np.ndarray:
 
 
 class OnlineSolver:
-    """Stepping engine for one irrevocable pass over an instance.
+    """Stepping engine for one irrevocable pass over ``lin.base``.
 
     ``step()`` consumes the next request and returns its decision; the
     decision at step t depends only on data revealed at steps <= t and
     the seed, so a run truncated after any prefix reproduces the full
-    run's first decisions exactly.
+    run's first decisions exactly.  With ``record_steps`` each step
+    appends (t, scheme, best margin, prices after the update) to
+    ``steps``.
     """
 
-    def __init__(self, instance: Instance, lin: LinearizedInstance,
+    def __init__(self, lin: LinearizedInstance,
                  config: VariantConfig = VariantConfig(),
-                 record_dual_path: bool = False,
                  record_steps: bool = False):
-        if lin.base is not instance and lin.a_tilde.shape != instance.a_bar.shape:
-            raise StructuralError("linearization does not match the instance")
+        instance = lin.base
         if instance.risk.psi is None:
             raise ConfigError("instance has no safety coefficients; apply to_soc first")
         self.instance = instance
         self.lin = lin
         self.config = config
-        n, m = instance.n, instance.m
         self.psi = instance.risk.psi
         self.d = instance.d
-        self.state = DualState(prices=np.zeros(m), step_size=1.0 / math.sqrt(n))
+        self.state = DualState(prices=np.zeros(instance.m),
+                               step_size=1.0 / math.sqrt(instance.n))
         self.objective = 0.0
         self.decisions: list[Decision] = []
         self.max_dual_inf = 0.0
-        self.dual_path = [] if record_dual_path else None
         self.steps = [] if record_steps else None
 
     def step(self) -> Decision:
+        """Price the columns, accept the best strictly positive margin,
+        then take the projected step p <- max(p + step*(cons - target), 0)."""
         state = self.state
         t = state.t
         inst = self.instance
@@ -201,7 +180,7 @@ class OnlineSolver:
             else:
                 target = self.d
 
-        values = reduced_values(state.prices, inst.c[t], columns)
+        values = inst.c[t] - state.prices @ columns
         scheme = _choose(values, self.config.rng_seed, t)
         if scheme is not None:
             consumption = columns[:, scheme]
@@ -212,15 +191,14 @@ class OnlineSolver:
         else:
             consumption = np.zeros(inst.m)
 
-        state.prices = dual_update(state.prices, consumption, target, state.step_size)
+        state.prices = np.maximum(state.prices + state.step_size * (consumption - target),
+                                  0.0)
         state.t = t + 1
         self.decisions.append(scheme)
 
         pmax = float(state.prices.max(initial=0.0))
         if pmax > self.max_dual_inf:
             self.max_dual_inf = pmax
-        if self.dual_path is not None:
-            self.dual_path.append(state.prices.copy())
         if self.steps is not None:
             self.steps.append((t, scheme, float(values.max()), state.prices.copy()))
         return scheme
@@ -238,14 +216,17 @@ class OnlineSolver:
             mean_consumption=self.state.mean_accum,
             variance_accum=self.state.q_accum,
             max_dual_inf=self.max_dual_inf,
-            dual_path=np.array(self.dual_path) if self.dual_path else None,
         )
 
 
 def run_online(instance: Instance, lin: LinearizedInstance,
                config: VariantConfig = VariantConfig(),
-               limit: int | None = None,
-               record_dual_path: bool = False) -> SolutionTrace:
-    """One pass of the configured variant; returns the completed trace."""
-    solver = OnlineSolver(instance, lin, config, record_dual_path=record_dual_path)
-    return solver.run(limit=limit)
+               limit: int | None = None) -> SolutionTrace:
+    """One pass of the configured variant; returns the completed trace.
+
+    ``lin`` must be the linearization of ``instance`` itself, not of
+    another instance of the same shape.
+    """
+    if lin.base is not instance:
+        raise StructuralError("linearization was built from a different instance")
+    return OnlineSolver(lin, config).run(limit=limit)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .gaussian import safety_coefficient
 from .model import Instance, RiskSpec, _frozen
 
@@ -40,38 +40,43 @@ class LinearizedInstance:
         if self.a_tilde.shape != self.base.a_bar.shape:
             raise ConfigError("a_tilde shape does not match the instance")
 
-    @property
-    def n(self) -> int:
-        return self.base.n
 
-    @property
-    def m(self) -> int:
-        return self.base.m
-
-    @property
-    def k(self) -> int:
-        return self.base.k
-
-
-def to_soc(instance: Instance) -> Instance:
-    """Populate the derived safety coefficients on a new instance.
+def safety_coefficients(risk: RiskSpec) -> np.ndarray:
+    """The safety coefficient psi_j of every resource of ``risk``.
 
     psi_j is the larger of the quantile implied by eta_j and the
-    mean-excess inverse implied by gamma_tilde_j; coefficients are
-    computed once here so solver loops never touch root finding.
+    mean-excess inverse implied by gamma_tilde_j.  A negative psi_j
+    (eta_j < 0.5, or gamma_tilde_j > sqrt(2/pi), with no stronger target
+    on resource j) would make the cone form non-convex and is rejected;
+    psi_j = 0 (eta_j = 0.5 exactly) is legal.
     """
-    risk = instance.risk
     if risk.eta is None and risk.gamma_tilde is None:
         raise ConfigError("risk spec is empty: need eta and/or gamma_tilde")
     psi = np.array([
         safety_coefficient(
             None if risk.eta is None else float(risk.eta[j]),
             None if risk.gamma_tilde is None else float(risk.gamma_tilde[j]))
-        for j in range(instance.m)
+        for j in range(risk.m)
     ])
+    negative = np.flatnonzero(psi < 0)
+    if negative.size:
+        raise DomainError("negative safety coefficient (a target weaker than the "
+                          "mean) on " + ", ".join(f"resource {j}: psi = {psi[j]:.6g}"
+                                                 for j in negative))
+    return psi
+
+
+def to_soc(instance: Instance) -> Instance:
+    """Populate the derived safety coefficients on a new instance.
+
+    Coefficients (see :func:`safety_coefficients`) are computed once
+    here so solver loops never touch root finding.
+    """
+    risk = instance.risk
     return Instance(
         instance.c, instance.a_bar, instance.k_diag, instance.d,
-        RiskSpec(eta=risk.eta, gamma_tilde=risk.gamma_tilde, psi=psi))
+        RiskSpec(eta=risk.eta, gamma_tilde=risk.gamma_tilde,
+                 psi=safety_coefficients(risk)))
 
 
 def linearize(instance: Instance) -> LinearizedInstance:

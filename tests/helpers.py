@@ -86,3 +86,17 @@ def trace_by_recomputation(instance, decisions):
         var += instance.k_diag[t, :, l]
     return SolutionTrace(decisions=tuple(decisions), objective=objective,
                          mean_consumption=mean, variance_accum=var)
+
+
+def priced_margins(prices, revenue, columns) -> list:
+    """Revenue minus priced consumption of each scheme, by explicit sums."""
+    m, k = np.shape(columns)
+    return [float(revenue[l]) - sum(float(prices[j]) * float(columns[j][l])
+                                    for j in range(m))
+            for l in range(k)]
+
+
+def projected_step(prices, consumption, target, step: float) -> np.ndarray:
+    """One projected price step max(p + step*(cons - target), 0), per entry."""
+    return np.array([max(float(p) + step * (float(c) - float(d)), 0.0)
+                     for p, c, d in zip(prices, consumption, target)])

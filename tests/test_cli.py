@@ -58,6 +58,27 @@ class TestExitCodes:
                    "--trace", "trace.json", "--eta", "0.9,0.9") == 0
 
 
+    def test_negative_safety_coefficient_is_data_error(self, tmp_path, capsys):
+        # eta < 0.5 gives psi < 0: refused before anything is written
+        assert run(tmp_path, "generate", "--experiment", "uniform", "--n", "5",
+                   "--m", "2", "--k", "2", "--eta", "0.9,0.3") == 2
+        assert "resource 1" in capsys.readouterr().err
+        assert not (tmp_path / "instance.json").exists()
+        assert run(tmp_path, "generate", "--experiment", "uniform", "--n", "5",
+                   "--m", "1", "--k", "2", "--eta", "0.3", "--stream") == 2
+        # psi = 0 (eta = 0.5 exactly) stays legal
+        assert run(tmp_path, "generate", "--experiment", "uniform", "--n", "5",
+                   "--m", "1", "--k", "2", "--eta", "0.5") == 0
+
+    def test_other_plan_in_same_out_is_data_error(self, tmp_path, capsys):
+        common = ("experiment", "--experiment", "uniform", "--n-grid", "10",
+                  "--trials", "1", "--k", "3", "--variants", "vanilla",
+                  "--no-baseline", "--out", "res")
+        assert run(tmp_path, *common, "--m", "2", "--eta", "0.9,0.9") == 0
+        assert run(tmp_path, *common, "--m", "3", "--eta", "0.9,0.9,0.9") == 2
+        assert "another plan" in capsys.readouterr().err
+
+
 class TestPipeline:
     def test_generate_solve_baseline_evaluate(self, tmp_path, capsys):
         assert run(tmp_path, "generate", "--experiment", "uniform",

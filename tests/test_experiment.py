@@ -1,13 +1,14 @@
 """Experiment harness: file outputs, determinism, parallelism, seeding."""
 
 import json
-import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from socalloc import (ExperimentPlan, GeneratorConfig, VariantConfig,
-                      run_experiment, run_trial, trial_seed)
+from socalloc import (ConfigError, ExperimentPlan, GeneratorConfig,
+                      VariantConfig, run_experiment, run_trial, trial_seed)
+from socalloc.metrics import csv_header, csv_row
 
 ETA_GRID = (0.65, 0.75, 0.85, 0.95)
 
@@ -76,22 +77,21 @@ class TestRunExperiment:
         assert (tmp_path / "out" / "aggregate.json").read_bytes() == first_agg
 
     def test_parallel_matches_serial(self, tmp_path):
-        plan_a = small_plan(tmp_path / "a", trials=3, n_grid=(15,))
-        plan_b = small_plan(tmp_path / "b", trials=3, n_grid=(15,))
-        old = os.environ.get("SOC_ALLOC_THREADS")
-        try:
-            os.environ["SOC_ALLOC_THREADS"] = "1"
-            run_experiment(plan_a)
-            os.environ["SOC_ALLOC_THREADS"] = "3"
-            run_experiment(plan_b)
-        finally:
-            if old is None:
-                os.environ.pop("SOC_ALLOC_THREADS", None)
-            else:
-                os.environ["SOC_ALLOC_THREADS"] = old
-        body_a = (tmp_path / "a" / "out" / "metrics.csv").read_text()
-        body_b = (tmp_path / "b" / "out" / "metrics.csv").read_text()
-        assert body_a == body_b
+        # a plan with baselines runs its cells on the thread pool; its
+        # merged metrics.csv must equal the rows of run_trial called cell
+        # by cell in (n, trial) order
+        plan = small_plan(tmp_path, trials=3, n_grid=(15, 20))
+        assert plan.compute_baseline
+        run_experiment(plan)
+        m = plan.generator.m
+        expected = [csv_header(m)]
+        for n in plan.n_grid:
+            for t in range(plan.trials):
+                seed, status, results = run_trial(plan, n, t)
+                expected += [csv_row("uniform", v.variant, n, t, seed,
+                                     results[v.variant], m, status=status)
+                             for v in plan.variants]
+        assert (tmp_path / "out" / "metrics.csv").read_text() == "".join(expected)
 
     def test_aggregate_document_shape(self, tmp_path):
         plan = small_plan(tmp_path, trials=2, n_grid=(10, 20))
@@ -120,6 +120,69 @@ class TestRunExperiment:
         assert len(body) == 2 + 2  # comment, header, one row per grid point
         assert body[2].split(",")[2] == "10"
         assert body[3].split(",")[2] == "20"
+
+    def test_other_plan_refused_in_shared_directory(self, tmp_path):
+        # m = 2 then m = 3 into one directory would merge rows of two widths
+        # under one header; the second plan is refused before it writes
+        shared = tmp_path / "shared"
+
+        def plan_with(m):
+            gen = GeneratorConfig("uniform", n=10, m=m, k=3, eta=(0.9,) * m, seed=0)
+            return ExperimentPlan(generator=gen, n_grid=(10,), trials=2,
+                                  variants=(VariantConfig("vanilla"),),
+                                  output_dir=str(shared), master_seed=5,
+                                  compute_baseline=False)
+
+        run_experiment(plan_with(2))
+        before = (shared / "metrics.csv").read_bytes()
+        # the fingerprint file is not merged as a part: comment, header, 2 rows
+        assert len(before.splitlines()) == 4
+        with pytest.raises(ConfigError, match=r"differs in eta, m\)"):
+            run_experiment(plan_with(3))
+        assert (shared / "metrics.csv").read_bytes() == before
+
+    def test_fingerprint_covers_plan_fields(self, tmp_path):
+        plan = small_plan(tmp_path, trials=1, n_grid=(10,), compute_baseline=False)
+        run_experiment(plan)
+        others = [replace(plan, master_seed=32), replace(plan, compute_baseline=True),
+                  replace(plan, variants=(VariantConfig("vanilla"),)),
+                  replace(plan, generator=replace(plan.generator, eta=(0.9,) * 4)),
+                  replace(plan, generator=replace(plan.generator, k=4)),
+                  replace(plan, generator=replace(plan.generator,
+                                                  experiment="chi_square"))]
+        for other in others:
+            with pytest.raises(ConfigError):
+                run_experiment(other)
+        # a new grid or trial count of the same plan is welcome
+        run_experiment(replace(plan, n_grid=(12,), trials=2))
+
+    def test_scaling_document_says_what_it_fitted(self, tmp_path):
+        plan = small_plan(tmp_path, trials=2, n_grid=(10, 20, 40),
+                          variants=(VariantConfig("vanilla"),))
+        doc = run_experiment(plan)
+        scaling = json.loads((tmp_path / "out" / "scaling.json").read_text())
+        entry = scaling["vanilla"]["optimality_gap"]
+        means = [doc["variants"]["vanilla"][str(n)]["optimality_gap"]["mean"]
+                 for n in (10, 20, 40)]
+        assert all(v > 0 for v in means)
+        assert entry["n"] == [10, 20, 40]
+        assert entry["fit"] == pytest.approx(
+            np.polyfit(np.log([10, 20, 40]), np.log(means), 1)[0], rel=1e-9)
+        assert entry["last_pair"] == pytest.approx(
+            np.log(means[2] / means[1]) / np.log(2.0), rel=1e-9)
+        assert "ce_violation" not in scaling["vanilla"]  # no caps in this plan
+
+    def test_short_grid_keeps_null_fit(self, tmp_path):
+        # two grid points: the fit needs three, so it is null, but the
+        # metric keeps its entry and its last-pair slope
+        plan = small_plan(tmp_path, trials=1, n_grid=(10, 20),
+                          variants=(VariantConfig("vanilla"),))
+        run_experiment(plan)
+        scaling = json.loads((tmp_path / "out" / "scaling.json").read_text())
+        entry = scaling["vanilla"]["optimality_gap"]
+        assert entry["fit"] is None
+        assert entry["n"] == [10, 20]
+        assert isinstance(entry["last_pair"], float)
 
     def test_ce_only_experiment(self, tmp_path):
         gen = GeneratorConfig("uniform", n=40, m=4, k=5,

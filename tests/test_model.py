@@ -126,6 +126,13 @@ class TestSocLhs:
             soc_lhs(empty_trace(2, 3), inst)
 
 
+class TestRiskSpec:
+    def test_targets_of_unequal_length_rejected(self):
+        # to_soc reads eta[j] and gamma_tilde[j] for every resource j
+        with pytest.raises(StructuralError):
+            RiskSpec(eta=(0.9, 0.9), gamma_tilde=(0.3,))
+
+
 class TestValidate:
     def test_well_formed_instance_is_ok(self):
         inst = random_instance(np.random.default_rng(10), n=20,

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from socalloc import (ConfigError, Instance, RiskSpec, linearize, mean_excess,
-                      soc_lhs, to_soc)
+from socalloc import (ConfigError, DomainError, Instance, RiskSpec, linearize,
+                      mean_excess, soc_lhs, to_soc)
 
 from helpers import (bisect_root, random_decisions, random_instance,
                      trace_by_recomputation)
@@ -56,6 +56,27 @@ class TestToSoc:
         inst = random_instance(np.random.default_rng(4), n=3)
         with pytest.raises(ConfigError):
             to_soc(inst)
+
+    def test_negative_coefficient_rejected(self):
+        # eta < 0.5 (or a cap above sqrt(2/pi)) asks for less than the mean:
+        # psi < 0 would make the cone form non-convex
+        inst = random_instance(np.random.default_rng(12), n=3,
+                               eta=(0.9, 0.3, 0.95, 0.6))
+        with pytest.raises(DomainError, match=r"resource 1: psi = -0\.5244"):
+            to_soc(inst)
+        caps = random_instance(np.random.default_rng(13), n=3,
+                               gamma_tilde=(0.2, 0.3, 0.4, 0.9))
+        with pytest.raises(DomainError, match="resource 3"):
+            to_soc(caps)
+        # a stronger target on the same resource wins the max
+        both = random_instance(np.random.default_rng(14), n=3,
+                               eta=(0.9,) * 4, gamma_tilde=(0.2, 0.3, 0.4, 0.9))
+        assert np.all(to_soc(both).risk.psi > 0)
+
+    def test_zero_coefficient_allowed(self):
+        inst = random_instance(np.random.default_rng(15), n=3,
+                               eta=(0.5, 0.9, 0.9, 0.9))
+        assert to_soc(inst).risk.psi[0] == 0.0
 
     def test_original_instance_untouched(self):
         inst = random_instance(np.random.default_rng(5), n=3, eta=ETA_GRID)
