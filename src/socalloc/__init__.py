@@ -8,8 +8,7 @@ benchmark against :func:`minimize_dual`, and score with
 """
 
 from .baseline import (DualCertificate, dual_value,
-                       dual_value_and_subgradient, greedy_primal,
-                       minimize_dual)
+                       dual_value_and_subgradient, minimize_dual)
 from .errors import (ConfigError, ConvergenceError, DomainError,
                      SocAllocError, StructuralError)
 from .experiment import ExperimentPlan, run_experiment, run_trial, trial_seed
@@ -38,7 +37,7 @@ __all__ = [
     "StructuralError", "VARIANTS", "VariantConfig", "aggregate",
     "build_report", "ce_violation", "dual_value",
     "dual_value_and_subgradient", "dynamic_budget", "generate",
-    "greedy_primal", "instance_from_dict", "instance_to_dict", "linearize",
+    "instance_from_dict", "instance_to_dict", "linearize",
     "load_instance", "load_trace", "marginal_soc_cost", "mean_excess",
     "mean_excess_inverse", "minimize_dual", "optimality_gap_and_ratio",
     "probability_deviation", "request_fields",

@@ -1,23 +1,12 @@
 """Offline dual baseline for the linearized problem.
 
-The fractional relaxation's optimum equals, by strong duality, the
-minimum over nonnegative prices p of the dual function
-
-    f(p) = p . b + sum_t max(0, max_l (c_t - p . A_t)[l]),
-
-which one pass over the requests evaluates exactly, together with a
-subgradient b - sum_t A_t x_t(p).  The optimal p lies in the box
-{p >= 0, sum(p) <= c_max / d_min}: outside it, f(p) >= p . b > n*c_max
->= f(0).
-
-``minimize_dual`` runs projected subgradient descent over that box with
-normalized directions, a diminishing step a/sqrt(iter) inside each
-round, and best-iterate tracking; the step scale a starts at the box
-radius and halves between rounds, restarting from the incumbent.  The
-search stops once two consecutive fine-scale rounds (scale below a
-thousandth of the box radius, so coarse exploratory rounds cannot end
-the search) each improve the incumbent by less than tol * |value|.  The
-whole procedure is deterministic, so certificates are reproducible.
+By strong duality the relaxation's optimum is the minimum over p >= 0 of
+f(p) = p . b + sum_t max(0, max_l (c_t - p . A_t)[l]), which one pass
+over the requests evaluates exactly.  ``minimize_dual`` minimizes an
+entropic smoothing of f (Nesterov, Math. Program. 103, 2005) by damped
+Newton steps and certifies each stage's prices by the exact f there, an
+upper bound by weak duality, and a lower bound from a fractional
+solution recovered there.  Every step is deterministic.
 """
 
 from __future__ import annotations
@@ -27,31 +16,35 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .model import Decision, _frozen
+from .model import _frozen
 from .transform import LinearizedInstance
 
 
 @dataclass(frozen=True)
 class DualCertificate:
-    """Best dual point found, its value, and the work spent getting it."""
+    """Best dual point, its exact value, its gap to a primal lower bound."""
 
     value: float
     p_star: np.ndarray
     iterations: int
-    residual: float
+    gap: float
 
     def __post_init__(self):
         object.__setattr__(self, "p_star", _frozen(self.p_star))
 
     def to_dict(self) -> dict:
         return {"value": self.value, "p_star": self.p_star.tolist(),
-                "iterations": self.iterations, "residual": self.residual}
+                "iterations": self.iterations, "gap": self.gap}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DualCertificate":
         return cls(value=float(doc["value"]), p_star=doc["p_star"],
-                   iterations=int(doc["iterations"]),
-                   residual=float(doc["residual"]))
+                   iterations=int(doc["iterations"]), gap=float(doc["gap"]))
+
+
+def _reduced_values(prices: np.ndarray, lin: LinearizedInstance) -> np.ndarray:
+    """c_t - p . A_t for every request and scheme, (n, k), without copying A."""
+    return lin.base.c - np.einsum("j,tjk->tk", prices, lin.a_tilde)
 
 
 def dual_value_and_subgradient(prices: np.ndarray,
@@ -64,19 +57,12 @@ def dual_value_and_subgradient(prices: np.ndarray,
     prices = np.asarray(prices, dtype=float)
     if np.any(prices < 0):
         raise DomainError("prices must be nonnegative")
-    inst = lin.base
-    b = inst.budget
-    reduced = inst.c - np.tensordot(prices, lin.a_tilde, axes=(0, 1))
+    b = lin.base.budget
+    reduced = _reduced_values(prices, lin)
     choice = reduced.argmax(axis=1)
-    best = reduced[np.arange(inst.n), choice]
-    active = best > 0.0
-    value = float(prices @ b + best[active].sum())
-    if active.any():
-        chosen = lin.a_tilde[active, :, :][np.arange(active.sum()), :, choice[active]]
-        consumption = chosen.sum(axis=0)
-    else:
-        consumption = np.zeros(inst.m)
-    return value, b - consumption
+    best = np.take_along_axis(reduced, choice[:, None], axis=1)[:, 0]
+    t = np.flatnonzero(best > 0.0)
+    return float(prices @ b + best[t].sum()), b - lin.a_tilde[t, :, choice[t]].sum(axis=0)
 
 
 def dual_value(prices: np.ndarray, lin: LinearizedInstance) -> float:
@@ -84,102 +70,113 @@ def dual_value(prices: np.ndarray, lin: LinearizedInstance) -> float:
     return dual_value_and_subgradient(prices, lin)[0]
 
 
-def _project_box(p: np.ndarray, radius: float) -> np.ndarray:
-    p = np.maximum(p, 0.0)
-    s = p.sum()
-    if s > radius:
-        p = p * (radius / s)
-    return p
+def _smoothed(prices: np.ndarray, lin: LinearizedInstance, mu: float):
+    """f_mu, its gradient and its Hessian at ``prices``, in one pass whose
+    temporaries are (n, k) or (n, m)."""
+    a, b = lin.a_tilde, lin.base.budget
+    reduced = _reduced_values(prices, lin)
+    # numpy reduces a short contiguous axis slowly; exp is slow where it underflows
+    top = np.maximum(np.ascontiguousarray(reduced.T).max(axis=0), 0.0)
+    pi = np.exp(np.maximum((reduced - top[:, None]) / mu, -700.0))
+    z = np.exp(np.maximum(-top / mu, -700.0)) + pi.sum(axis=1)
+    pi /= z[:, None]
+    mean = np.einsum("tk,tjk->tj", pi, a)
+    second = np.empty((len(b), len(b)))
+    for i in range(len(b)):
+        second[i, i:] = second[i:, i] = np.einsum("tk,tjk->j", pi * a[:, i, :], a[:, i:, :])
+    return (float(prices @ b + (top + mu * np.log(z)).sum()), b - mean.sum(axis=0),
+            (second - mean.T @ mean) / mu)
+
+
+def _certify(prices: np.ndarray, lin: LinearizedInstance) -> tuple[float, float]:
+    """Exact dual value at ``prices`` and a primal lower bound (two passes).
+
+    The bound is the revenue of a fractional solution that fits every
+    row: each request takes its best option at ``prices`` (option k
+    rejects); the (request, option) pairs losing least reduced value,
+    one per positive price plus ties, shift fractions of their requests
+    to make the priced rows tight (least squares over [0, 1]); a row
+    that still overflows scales the solution down."""
+    value, _ = dual_value_and_subgradient(prices, lin)
+    n, _, k = lin.a_tilde.shape
+    c, b = lin.base.c, lin.base.budget
+    reduced = np.concatenate([_reduced_values(prices, lin), np.zeros((n, 1))], axis=1)
+    rows = np.arange(n)
+    first = reduced.argmax(axis=1)
+    loss = reduced[rows, first][:, None] - reduced
+    loss[rows, first] = np.inf
+
+    def columns(t, option):  # consumption (len(t), m) and revenue of the options
+        take, scheme = option < k, np.minimum(option, k - 1)
+        return lin.a_tilde[t, :, scheme] * take[:, None], c[t, scheme] * take
+
+    use, gain = columns(rows, first)
+    used, revenue = use.sum(axis=0), float(gain.sum())
+    priced = prices > 0
+    s = min(int(priced.sum()), n * k)
+    if s:
+        cut = np.partition(loss, s - 1, axis=None)[s - 1]
+        t, option = np.divmod(np.flatnonzero(loss <= cut), k + 1)
+        alt_use, alt_gain = columns(t, option)
+        shift = alt_use - use[t]
+        alpha = np.linalg.lstsq(shift[:, priced].T, (b - used)[priced], rcond=None)[0]
+        alpha = np.clip(alpha, 0.0, 1.0)
+        alpha /= np.maximum(np.bincount(t, alpha, n)[t], 1.0)  # at most all of a request
+        used = used + alpha @ shift
+        revenue += float(alpha @ (alt_gain - gain[t]))
+    return value, max(float((b / np.maximum(used, b)).min()) * revenue, 0.0)
 
 
 def minimize_dual(lin: LinearizedInstance, tol: float = 1e-6, *,
-                  iteration_cap: int = 20000,
-                  round_iters: int = 120) -> DualCertificate:
-    """Minimize the dual function over the bounded price box.
+                  iteration_cap: int = 20000) -> DualCertificate:
+    """Minimize the dual function over nonnegative prices.
 
-    Returns the best iterate as a :class:`DualCertificate` whose
-    ``value`` is exactly the dual function at ``p_star`` (an upper bound
-    on the relaxation optimum, tight to roughly ``tol``) and whose
-    ``residual`` is the last full round's relative improvement.
-
-    Raises
-    ------
-    ConvergenceError
-        If the iteration cap is reached before a round's improvement
-        drops below tol * |value|; the best certificate so far rides
-        along on the exception.
+    ``value`` is exactly f(``p_star``); ``gap`` <= tol * max(|value|, 1)
+    is ``value`` less the revenue of a feasible fractional solution (0 if
+    rounding puts that above); ``iterations`` counts every pass over the
+    requests.  Raises :class:`ConvergenceError`, with the best certificate
+    so far, if ``iteration_cap`` passes or mu = 1e-15 mu0 leave a gap.
     """
     if not tol > 0:
         raise DomainError(f"tol must be positive, got {tol!r}")
     inst = lin.base
-    radius = float(inst.c.max()) / float(inst.d.min())
-    if radius <= 0:  # all revenues <= 0: nothing is ever worth accepting
-        radius = 1.0
+    p = best_p = np.zeros(inst.m)
+    passes, best_value, lower = 0, np.inf, -np.inf
+    # start at a hundredth of the mean request's best revenue, f(0) / n
+    mu = mu0 = 0.01 * np.maximum(inst.c.max(axis=1), 0.0).mean()
+    while True:
+        value, low = _certify(p, lin)
+        passes += 2
+        lower = max(lower, low)
+        if value < best_value:
+            best_value, best_p = value, p
+        cert = DualCertificate(best_value, best_p, passes, max(best_value - lower, 0.0))
+        if cert.gap <= tol * max(abs(best_value), 1.0):
+            return cert
+        if passes >= iteration_cap or mu < 1e-15 * mu0:
+            raise ConvergenceError(f"dual gap {cert.gap:.3g} above tol {tol:g} after {passes} "
+                                   f"passes over the data, at mu = {mu:.3g}", certificate=cert)
 
-    p = np.zeros(inst.m)
-    best_f, _ = dual_value_and_subgradient(p, lin)
-    best_p = p.copy()
-    evals = 1
-    scale = radius
-    fine_scale = 1e-3 * radius
-    quiet_rounds = 0
-    residual = np.inf
-
-    while evals < iteration_cap:
-        p = best_p.copy()
-        round_start = best_f
-        for it in range(1, round_iters + 1):
-            f, g = dual_value_and_subgradient(p, lin)
-            evals += 1
-            if f < best_f:
-                best_f, best_p = f, p.copy()
-            norm = np.linalg.norm(g)
-            if norm == 0.0:
+        f, g, h = _smoothed(p, lin, mu)
+        passes += 1
+        damping = np.abs(g).max() * inst.d.min() / inst.c.max()  # step <= box radius
+        # Newton steps to a smoothed KKT residual of 1e-6 for every tol, so
+        for _ in range(40):  # all tols share one path and a looser one stops no later
+            kkt = np.where(p > 0, np.abs(g), np.maximum(-g, 0.0)) / inst.budget
+            if kkt.max() <= 1e-6 or passes >= iteration_cap:
                 break
-            p = _project_box(p - (scale / np.sqrt(it)) * g / norm, radius)
-            if evals >= iteration_cap:
+            free = (p > 0) | (g < 0)
+            step = np.zeros(inst.m)
+            step[free] = -np.linalg.solve(
+                h[np.ix_(free, free)] + damping * np.eye(free.sum()), g[free])
+            # trust the quadratic model for a change of about 20 mu in the
+            # priced consumption of the mean request
+            q = np.maximum(p + step * min(1.0, 20.0 * mu / (np.abs(step) @ inst.d)), 0.0)
+            if np.array_equal(q, p):
                 break
-        improvement = round_start - best_f
-        residual = improvement / max(abs(best_f), 1.0)
-        if improvement < tol * max(abs(best_f), 1.0):
-            quiet_rounds += 1 if scale <= fine_scale else 0
-        else:
-            quiet_rounds = 0
-        scale *= 0.5
-        if quiet_rounds >= 2:
-            return DualCertificate(value=best_f, p_star=best_p,
-                                   iterations=evals, residual=float(residual))
-
-    raise ConvergenceError(
-        f"dual minimization did not settle within {iteration_cap} evaluations",
-        certificate=DualCertificate(value=best_f, p_star=best_p,
-                                    iterations=evals, residual=float(residual)))
-
-
-def greedy_primal(lin: LinearizedInstance) -> tuple[list[Decision], float]:
-    """Feasibility-preserving greedy pass over the linearized problem.
-
-    Takes each request's highest-revenue scheme whenever doing so keeps
-    every linear resource row within budget.  Any such selection's
-    revenue lower-bounds the relaxation optimum, so it pairs with a dual
-    certificate as a weak-duality sandwich.
-    """
-    inst = lin.base
-    b = inst.budget
-    used = np.zeros(inst.m)
-    decisions: list[Decision] = []
-    revenue = 0.0
-    for t in range(inst.n):
-        order = np.argsort(-inst.c[t])
-        pick: Decision = None
-        for l in order:
-            if inst.c[t, l] <= 0:
-                break
-            if np.all(used + lin.a_tilde[t, :, l] <= b):
-                pick = int(l)
-                break
-        if pick is not None:
-            used += lin.a_tilde[t, :, pick]
-            revenue += float(inst.c[t, pick])
-        decisions.append(pick)
-    return decisions, revenue
+            fq, gq, hq = _smoothed(q, lin, mu)
+            passes += 1
+            damping *= 0.25 if fq < f else 4.0
+            if fq < f:
+                p, f, g, h = q, fq, gq, hq
+        mu *= 0.1

@@ -186,7 +186,8 @@ def _cmd_baseline(args) -> int:
     lin = linearize(instance)
     cert = minimize_dual(lin, tol=args.tol)
     Path(args.out).write_text(json.dumps(cert.to_dict()))
-    print(f"wrote {args.out} (value={cert.value:.6f}, iterations={cert.iterations})")
+    print(f"wrote {args.out} (value={cert.value:.6f}, gap={cert.gap:.3g}, "
+          f"iterations={cert.iterations})")
     return EXIT_OK
 
 

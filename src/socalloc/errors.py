@@ -25,7 +25,7 @@ class StructuralError(SocAllocError, ValueError):
 
 
 class ConvergenceError(SocAllocError, RuntimeError):
-    """An iterative solver hit its iteration cap before converging.
+    """An iterative solver stopped before converging.
 
     Carries the best certificate found so far in ``certificate``.
     """

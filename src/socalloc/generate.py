@@ -21,7 +21,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, StructuralError
 from .model import Instance, Request, RiskSpec
 
 EXPERIMENTS = ("uniform", "chi_square")
@@ -68,7 +68,10 @@ class GeneratorConfig:
         return d
 
     def risk(self) -> RiskSpec:
-        return RiskSpec(eta=self.eta, gamma_tilde=self.gamma_tilde)
+        risk = RiskSpec(eta=self.eta, gamma_tilde=self.gamma_tilde)
+        if risk.m not in (None, self.m):
+            raise StructuralError(f"risk spec has {risk.m} entries for {self.m} resources")
+        return risk
 
 
 def request_rng(seed: int, t: int) -> np.random.Generator:

@@ -100,3 +100,31 @@ def projected_step(prices, consumption, target, step: float) -> np.ndarray:
     """One projected price step max(p + step*(cons - target), 0), per entry."""
     return np.array([max(float(p) + step * (float(c) - float(d)), 0.0)
                      for p, c, d in zip(prices, consumption, target)])
+
+
+def greedy_primal(lin) -> tuple[list, float]:
+    """Feasibility-preserving greedy pass over the linearized problem.
+
+    Takes each request's highest-revenue scheme whenever doing so keeps
+    every linear resource row within budget.  Any such selection's
+    revenue lower-bounds the relaxation optimum, so it pairs with a dual
+    certificate as a weak-duality sandwich.
+    """
+    inst = lin.base
+    b = inst.budget
+    used = np.zeros(inst.m)
+    decisions: list = []
+    revenue = 0.0
+    for t in range(inst.n):
+        pick = None
+        for l in np.argsort(-inst.c[t]):
+            if inst.c[t, l] <= 0:
+                break
+            if np.all(used + lin.a_tilde[t, :, l] <= b):
+                pick = int(l)
+                break
+        if pick is not None:
+            used += lin.a_tilde[t, :, pick]
+            revenue += float(inst.c[t, pick])
+        decisions.append(pick)
+    return decisions, revenue

@@ -8,10 +8,10 @@ import pytest
 
 from socalloc import (ConvergenceError, DomainError, DualCertificate,
                       GeneratorConfig, Instance, RiskSpec, dual_value,
-                      dual_value_and_subgradient, generate, greedy_primal,
-                      linearize, minimize_dual, soc_lhs, to_soc)
+                      dual_value_and_subgradient, generate, linearize,
+                      minimize_dual, soc_lhs, to_soc)
 
-from helpers import random_instance
+from helpers import greedy_primal, random_instance, trace_by_recomputation
 
 
 def toy_m1():
@@ -118,7 +118,7 @@ class TestMinimizeDual:
         assert cert.p_star.sum() <= inst.c.max() / inst.d.min() + 1e-9
         assert cert.value == dual_value(cert.p_star, lin)
         assert cert.iterations > 0
-        assert cert.residual < 1e-6
+        assert 0.0 <= cert.gap <= 1e-7 * max(abs(cert.value), 1.0)
 
     def test_tol_must_be_positive(self):
         with pytest.raises(DomainError):
@@ -134,6 +134,11 @@ class TestMinimizeDual:
         assert isinstance(cert, DualCertificate)
         assert cert.iterations >= 50
         assert cert.value >= 0
+        # the cap counts passes over the data; at most one certification
+        # (two passes) follows the pass that reaches it
+        assert cert.iterations <= 52
+        assert cert.value == dual_value(cert.p_star, lin)
+        assert cert.gap > 1e-15 * cert.value
 
     def test_convexity_probe(self):
         rng = np.random.default_rng(7)
@@ -168,6 +173,37 @@ class TestMinimizeDual:
         cert = minimize_dual(lin, tol=1e-8)
         assert cert.value >= lp_opt - 1e-6          # dual upper-bounds the LP
         assert abs(cert.value - lp_opt) <= 1e-4 * lp_opt
+        # the certified lower bound is a feasible revenue: below the LP
+        # optimum up to HiGHS's own feasibility tolerance
+        assert cert.value - cert.gap <= lp_opt * (1 + 1e-9)
+        assert cert.gap <= 1e-8 * cert.value
+
+    @pytest.mark.parametrize("experiment", ["uniform", "chi_square"])
+    @pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-9])
+    def test_gap_within_tol(self, experiment, tol):
+        lin = linearize(to_soc(generate(GeneratorConfig(
+            experiment, n=400, m=4, k=5, eta=(0.65, 0.75, 0.85, 0.95), seed=3))))
+        cert = minimize_dual(lin, tol=tol)
+        assert 0.0 <= cert.gap <= tol * max(abs(cert.value), 1.0)
+        assert cert.value == dual_value(cert.p_star, lin)
+
+    @pytest.mark.parametrize("experiment", ["uniform", "chi_square"])
+    def test_looser_tol_never_costs_more_passes(self, experiment):
+        for seed in (1, 2, 3):
+            lin = linearize(to_soc(generate(GeneratorConfig(
+                experiment, n=300, m=4, k=5, eta=(0.65, 0.75, 0.85, 0.95), seed=seed))))
+            passes = [minimize_dual(lin, tol=tol).iterations
+                      for tol in (1e-2, 1e-4, 1e-6, 1e-8, 1e-9)]
+            assert passes == sorted(passes), (seed, passes)
+
+    def test_pass_count_guard(self):
+        # the fixed subgradient schedule this method replaced spent 1441
+        # evaluations on this certificate
+        lin = linearize(to_soc(generate(GeneratorConfig(
+            "uniform", n=2500, m=4, k=5, eta=(0.65, 0.75, 0.85, 0.95), seed=12))))
+        cert = minimize_dual(lin, tol=1e-6)
+        assert cert.iterations <= 150
+        assert cert.gap <= 1e-6 * cert.value
 
 
 class TestWeakDuality:
@@ -209,9 +245,22 @@ class TestUpperBoundChain:
             best = 0.0
             for combo in itertools.product(range(k + 1), repeat=n):
                 decisions = [None if c == k else c for c in combo]
-                from helpers import trace_by_recomputation
                 trace = trace_by_recomputation(inst, decisions)
                 if np.all(soc_lhs(trace, inst) <= b):
                     best = max(best, trace.objective)
             cert = minimize_dual(lin, tol=1e-9)
             assert best <= cert.value + 1e-6
+
+    def test_degenerate_case_closes(self):
+        # case 9 above: n = 6, m = 1, the optimum splits one request; the
+        # certified gap closes and the value matches a grid search
+        rng = np.random.default_rng(10)
+        for _ in range(10):
+            inst = random_instance(rng, n=6, m=1, k=2,
+                                   psi=np.array([rng.uniform(0.3, 1.5)]))
+        lin = linearize(inst)
+        cert = minimize_dual(lin, tol=1e-9)
+        assert cert.gap <= 1e-9 * max(cert.value, 1.0)
+        grid = grid_search_1d(lin, 0.0, inst.c.max() / inst.d.min())
+        assert cert.value <= grid + 1e-12   # grid points are feasible duals
+        assert grid - cert.value <= 1e-4 * grid

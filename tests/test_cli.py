@@ -70,6 +70,30 @@ class TestExitCodes:
         assert run(tmp_path, "generate", "--experiment", "uniform", "--n", "5",
                    "--m", "1", "--k", "2", "--eta", "0.5") == 0
 
+    @pytest.mark.parametrize("stream", [False, True])
+    @pytest.mark.parametrize("flag, targets", [("--eta", "0.9,0.9"),
+                                               ("--gamma-tilde", "0.3,0.3")])
+    def test_risk_target_count_must_match_m(self, tmp_path, capsys, flag, targets,
+                                            stream):
+        argv = ["generate", "--experiment", "uniform", "--n", "2", "--m", "1",
+                "--k", "2", flag, targets] + (["--stream"] if stream else [])
+        assert run(tmp_path, *argv) == 2
+        captured = capsys.readouterr()
+        assert "2 entries for 1 resources" in captured.err
+        assert not captured.out and not (tmp_path / "instance.json").exists()
+
+    def test_certificate_without_gap_is_data_error(self, tmp_path, capsys):
+        assert run(tmp_path, "generate", "--experiment", "uniform", "--n", "20",
+                   "--m", "2", "--k", "2", "--eta", "0.9,0.9") == 0
+        assert run(tmp_path, "solve-online", "--instance", "instance.json") == 0
+        assert run(tmp_path, "baseline", "--instance", "instance.json") == 0
+        cert = json.loads((tmp_path / "certificate.json").read_text())
+        del cert["gap"]
+        (tmp_path / "old.json").write_text(json.dumps(cert))
+        assert run(tmp_path, "evaluate", "--instance", "instance.json",
+                   "--trace", "trace.json", "--baseline", "old.json") == 2
+        assert "gap" in capsys.readouterr().err
+
     def test_other_plan_in_same_out_is_data_error(self, tmp_path, capsys):
         common = ("experiment", "--experiment", "uniform", "--n-grid", "10",
                   "--trials", "1", "--k", "3", "--variants", "vanilla",
@@ -99,6 +123,10 @@ class TestPipeline:
                    "--tol", "1e-7") == 0
         cert = json.loads((tmp_path / "certificate.json").read_text())
         assert cert["value"] > 0
+        assert 0 <= cert["gap"] <= 1e-7 * cert["value"]
+        printed = capsys.readouterr().out
+        assert f"value={cert['value']:.6f}, gap={cert['gap']:.3g}, " in printed
+        assert f"iterations={cert['iterations']})" in printed
 
         assert run(tmp_path, "evaluate", "--instance", "instance.json",
                    "--trace", "trace.json", "--baseline", "certificate.json",

@@ -88,7 +88,7 @@ class TestProbabilityDeviation:
 class TestGapAndRatio:
     def cert(self, value):
         return DualCertificate(value=value, p_star=np.zeros(1),
-                               iterations=1, residual=0.0)
+                               iterations=1, gap=0.0)
 
     def test_matching_objective(self):
         trace = trace_with([1.0], [0.0], n=10)
