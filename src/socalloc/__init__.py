@@ -23,22 +23,21 @@ from .model import (Decision, Instance, Request, RiskSpec, SolutionTrace,
                     instance_from_dict, instance_to_dict, load_instance,
                     load_trace, save_instance, save_trace, soc_lhs,
                     trace_from_dict, trace_to_dict, validate_instance)
-from .online import (VARIANTS, DualState, OnlineSolver, VariantConfig,
-                     dynamic_budget, marginal_soc_cost, run_online)
+from .online import VARIANTS, OnlineSolver, VariantConfig, run_online
 from .transform import LinearizedInstance, linearize, to_soc
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError", "ConvergenceError", "Decision", "DomainError",
-    "DualCertificate", "DualState", "ExperimentPlan", "GeneratorConfig",
+    "DualCertificate", "ExperimentPlan", "GeneratorConfig",
     "Instance", "LinearizedInstance", "MEAN_EXCESS_AT_ZERO", "MetricsReport",
     "OnlineSolver", "Request", "RiskSpec", "SocAllocError", "SolutionTrace",
     "StructuralError", "VARIANTS", "VariantConfig", "aggregate",
     "build_report", "ce_violation", "dual_value",
-    "dual_value_and_subgradient", "dynamic_budget", "generate",
+    "dual_value_and_subgradient", "generate",
     "instance_from_dict", "instance_to_dict", "linearize",
-    "load_instance", "load_trace", "marginal_soc_cost", "mean_excess",
+    "load_instance", "load_trace", "mean_excess",
     "mean_excess_inverse", "minimize_dual", "optimality_gap_and_ratio",
     "probability_deviation", "request_fields",
     "run_experiment", "run_online", "run_trial", "safety_coefficient",

@@ -134,6 +134,7 @@ def _cmd_generate(args) -> int:
     config = GeneratorConfig(
         experiment=_experiment_tag(args.experiment), n=args.n, m=args.m, k=args.k,
         d=args.d, eta=args.eta, gamma_tilde=args.gamma_tilde, seed=args.seed)
+    config.budget()  # rejects a nonpositive budget before writing
     if args.eta is not None or args.gamma_tilde is not None:
         safety_coefficients(config.risk())  # rejects a negative psi before writing
     if args.stream:

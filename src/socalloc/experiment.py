@@ -3,22 +3,23 @@
 A plan expands into (n, trial) cells.  Each cell derives its own seed
 from (master_seed, n, trial), generates one instance, computes one
 baseline, and runs every variant on that same instance, so variants are
-compared like-for-like.  Cells of a plan with baselines run on
-min(4, cpu_count) threads, which overlap because the dual evaluations
-release the GIL; cells of a plan without baselines run one by one in
-order, since the online step loop holds the GIL.  Each cell writes its
-own part file and the parts are merged at the end, keyed by (n, trial),
-so reruns produce byte-identical reports.  Runs of the same plan with
-different n-grids or trial counts may share an output directory and
-union there; a fingerprint file in ``parts/`` refuses any other plan.
+compared like-for-like.  The cells of one n run together, one n after
+another: the trials x variants of an n are the lanes of one
+:class:`~socalloc.online.Lanes` set, which steps them all with one numpy
+call per step.  With baselines the trials' instances are generated and
+certified first and the lanes read their requests from them; without,
+the lanes draw their requests from the generator block by block and no
+instance is held.  Each cell writes its own part file and the parts are
+merged at the end, keyed by (n, trial), so reruns produce byte-identical
+reports.  Runs of the same plan with different n-grids or trial counts
+may share an output directory and union there; a fingerprint file in
+``parts/`` refuses any other plan.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -26,10 +27,11 @@ import numpy as np
 
 from .baseline import DualCertificate, minimize_dual
 from .errors import ConfigError, ConvergenceError
-from .generate import GeneratorConfig, generate
+from .generate import GeneratorConfig, RequestDraws, generate
 from .metrics import MetricsReport, aggregate, build_report, csv_header, csv_row, scaling_slope
-from .online import VariantConfig, run_online
-from .transform import linearize, to_soc
+from .model import RiskSpec
+from .online import InstanceBlocks, Lanes, VariantConfig
+from .transform import linear_columns, linearize, safety_coefficients, to_soc
 
 DEFAULT_VARIANTS = tuple(VariantConfig(v) for v in
                          ("vanilla", "marginal", "marginal-dynamic"))
@@ -55,33 +57,71 @@ def trial_seed(master_seed: int, n: int, trial: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def run_trial(plan: ExperimentPlan, n: int, trial: int):
-    """Run every variant of one cell; returns (seed, status, results).
+class _GeneratedBlocks:
+    """Block source drawing straight from the generator; row r is configs[r]."""
 
-    ``results`` maps variant name to its :class:`MetricsReport`.  All
-    variants share the same generated instance; the tie-break seed
-    equals the generation seed.
+    def __init__(self, configs):
+        first = configs[0]
+        self.draws = [RequestDraws(config) for config in configs]
+        self.n, self.k = first.n, first.k
+        self.d = first.budget()
+        self.psi = safety_coefficients(first.risk())
+
+    def __call__(self, start: int, stop: int):
+        c, a_bar, k_diag = (np.stack(field, axis=1) for field in
+                            zip(*(draws.block(start, stop) for draws in self.draws)))
+        return c, a_bar, k_diag, linear_columns(a_bar, k_diag, self.psi, self.n)
+
+
+@dataclass(frozen=True)
+class _Limits:
+    """What a report reads of an instance: its risk spec with psi, and
+    its total budget."""
+
+    risk: RiskSpec
+    budget: np.ndarray
+
+    @property
+    def m(self) -> int:
+        return len(self.budget)
+
+
+def run_trial(plan: ExperimentPlan, n: int, trials):
+    """Run every variant of the given trials at size n as one lane set.
+
+    Returns one (seed, status, results) per trial, in order; ``results``
+    maps variant name to its :class:`MetricsReport`.  All variants of a
+    trial share its instance; the tie-break seed equals the generation
+    seed.
     """
-    seed = trial_seed(plan.master_seed, n, trial)
-    config = replace(plan.generator, n=int(n), seed=seed)
-    instance = to_soc(generate(config))
-    lin = linearize(instance)
-
-    baseline: DualCertificate | None = None
-    status = "ok"
+    seeds = [trial_seed(plan.master_seed, n, trial) for trial in trials]
+    if not seeds:
+        return []
+    configs = [replace(plan.generator, n=int(n), seed=seed) for seed in seeds]
+    lanes = [(row, replace(variant, rng_seed=seed))
+             for row, seed in enumerate(seeds) for variant in plan.variants]
+    baselines: list[DualCertificate | None] = [None] * len(seeds)
+    statuses = ["ok"] * len(seeds)
     if plan.compute_baseline:
-        try:
-            baseline = minimize_dual(lin, tol=plan.tol)
-        except ConvergenceError:
-            baseline = None
-            status = "baseline_failed"
+        instances = [to_soc(generate(config)) for config in configs]
+        lins = [linearize(instance) for instance in instances]
+        for row, lin in enumerate(lins):
+            try:
+                baselines[row] = minimize_dual(lin, tol=plan.tol)
+            except ConvergenceError:
+                statuses[row] = "baseline_failed"
+        source = InstanceBlocks(lins)
+    else:
+        source = _GeneratedBlocks(configs)
+        risk = plan.generator.risk()
+        limits = _Limits(RiskSpec(risk.eta, risk.gamma_tilde, source.psi),
+                         int(n) * source.d)
+        instances = [limits] * len(seeds)
 
-    results: dict[str, MetricsReport] = {}
-    for variant in plan.variants:
-        cfg = replace(variant, rng_seed=seed)
-        trace = run_online(instance, lin, cfg)
-        results[variant.variant] = build_report(instance, trace, baseline)
-    return seed, status, results
+    results: list[dict[str, MetricsReport]] = [{} for _ in seeds]
+    for (row, config), trace in zip(lanes, Lanes(source, lanes).run()):
+        results[row][config.variant] = build_report(instances[row], trace, baselines[row])
+    return list(zip(seeds, statuses, results))
 
 
 def _log_slope(lo, hi) -> float:
@@ -161,32 +201,21 @@ def run_experiment(plan: ExperimentPlan) -> dict:
     parts_dir.mkdir(parents=True, exist_ok=True)
     _claim_directory(parts_dir, plan)
 
-    cells = [(int(n), t) for n in plan.n_grid for t in range(plan.trials)]
     m = plan.generator.m
     experiment = plan.generator.experiment
+    outcomes = []
+    for n in plan.n_grid:
+        n = int(n)
+        for t, (seed, status, results) in enumerate(run_trial(plan, n, range(plan.trials))):
+            lines = [csv_row(experiment, variant.variant, n, t, seed,
+                             results[variant.variant], m, status=status)
+                     for variant in plan.variants]
+            (parts_dir / f"metrics_n{n}_t{t}.csv").write_text("".join(lines))
+            outcomes.append(((n, t), seed, status, results))
 
-    def work(cell):
-        n, t = cell
-        seed, status, results = run_trial(plan, n, t)
-        lines = []
-        for variant in plan.variants:
-            report = results[variant.variant]
-            lines.append(csv_row(experiment, variant.variant, n, t, seed,
-                                 report, m, status=status))
-        part = parts_dir / f"metrics_n{n}_t{t}.csv"
-        part.write_text("".join(lines))
-        return cell, seed, status, results
-
-    workers = min(4, os.cpu_count() or 1) if plan.compute_baseline else 1
-    if workers > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(work, cells))
-    else:
-        outcomes = [work(c) for c in cells]
-
-    # Merge every part present, in (n, trial) order: stable regardless of
-    # completion order, and processes running disjoint trial subsets into
-    # the same directory union cleanly instead of clobbering each other.
+    # Merge every part present, in (n, trial) order, so that processes
+    # running disjoint grids into the same directory union cleanly instead
+    # of clobbering each other.
     part_key = re.compile(r"metrics_n(\d+)_t(\d+)\.csv$")
     parts = sorted(
         (p for p in parts_dir.iterdir() if part_key.search(p.name)),

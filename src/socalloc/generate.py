@@ -11,7 +11,10 @@ Two built-in input models, both with unit per-step budget:
 Every request owns a counter-based stream (Philox keyed by the seed,
 counter t * 2**64) and draws its fields in a fixed order, so coefficients
 depend only on (seed, t): generation order is irrelevant, and requests
-can be streamed one at a time without materializing the instance.
+can be streamed one at a time without materializing the instance.  One
+Philox per config serves every request: before each draw it is moved to
+the request's counter with an empty buffer, which is the state a fresh
+Philox at that counter starts in.
 """
 
 from __future__ import annotations
@@ -25,10 +28,6 @@ from .errors import ConfigError, DomainError, StructuralError
 from .model import Instance, Request, RiskSpec
 
 EXPERIMENTS = ("uniform", "chi_square")
-
-#: Generous per-request stream spacing; a request consumes well under
-#: 2**64 words even with rejection sampling.
-_COUNTER_STRIDE = 1 << 64
 
 
 @dataclass(frozen=True)
@@ -65,6 +64,8 @@ class GeneratorConfig:
         d = np.asarray(self.d, dtype=float)
         if d.shape != (self.m,):
             raise ConfigError(f"d must have {self.m} entries, got shape {d.shape}")
+        if not np.all(d > 0):
+            raise DomainError("budget must be positive in every resource")
         return d
 
     def risk(self) -> RiskSpec:
@@ -72,11 +73,6 @@ class GeneratorConfig:
         if risk.m not in (None, self.m):
             raise StructuralError(f"risk spec has {risk.m} entries for {self.m} resources")
         return risk
-
-
-def request_rng(seed: int, t: int) -> np.random.Generator:
-    """The stream owning request t's coefficients."""
-    return np.random.Generator(np.random.Philox(key=seed, counter=t * _COUNTER_STRIDE))
 
 
 def _draw_uniform(rng: np.random.Generator, m: int, k: int):
@@ -97,24 +93,51 @@ def _draw_chi_square(rng: np.random.Generator, m: int, k: int):
 _DRAWERS = {"uniform": _draw_uniform, "chi_square": _draw_chi_square}
 
 
+class RequestDraws:
+    """The coefficients of any request of one config, from one Philox.
+
+    ``draws(t)`` returns (c, a_bar, k_diag) of request t;
+    ``draws.block(start, stop)`` stacks requests start..stop-1 into
+    arrays of shape (T, k), (T, m, k) and (T, m, k).  Requests may be
+    drawn in any order.
+    """
+
+    def __init__(self, config: GeneratorConfig):
+        self.bits = np.random.Philox(key=config.seed)
+        self.rng = np.random.Generator(self.bits)
+        self.state = self.bits.state
+        self.drawer = (config.sampler if config.experiment == "custom"
+                       else _DRAWERS[config.experiment])
+        self.m, self.k = config.m, config.k
+
+    def __call__(self, t: int):
+        # counter t * 2**64 as four 64-bit words, buffer empty
+        self.state["state"]["counter"] = np.array([0, t, 0, 0], dtype=np.uint64)
+        self.state["buffer_pos"] = 4
+        self.bits.state = self.state
+        return self.drawer(self.rng, self.m, self.k)
+
+    def block(self, start: int, stop: int):
+        T, m, k = stop - start, self.m, self.k
+        c, a_bar, k_diag = np.empty((T, k)), np.empty((T, m, k)), np.empty((T, m, k))
+        for i in range(T):
+            c[i], a_bar[i], k_diag[i] = self(start + i)
+        return c, a_bar, k_diag
+
+
 def request_fields(config: GeneratorConfig, t: int):
     """Coefficients (c, a_bar, k_diag) of request t, independent of order."""
-    drawer = config.sampler if config.experiment == "custom" else _DRAWERS[config.experiment]
-    return drawer(request_rng(config.seed, t), config.m, config.k)
+    return RequestDraws(config)(t)
 
 
 def stream_requests(config: GeneratorConfig) -> Iterator[Request]:
     """Yield requests in arrival order without materializing the instance."""
+    draws = RequestDraws(config)
     for t in range(config.n):
-        yield Request(*request_fields(config, t))
+        yield Request(*draws(t))
 
 
 def generate(config: GeneratorConfig) -> Instance:
     """Materialize the full instance for the configuration."""
-    n, m, k = config.n, config.m, config.k
-    c = np.empty((n, k))
-    a_bar = np.empty((n, m, k))
-    k_diag = np.empty((n, m, k))
-    for t in range(n):
-        c[t], a_bar[t], k_diag[t] = request_fields(config, t)
-    return Instance(c, a_bar, k_diag, config.budget(), config.risk())
+    return Instance(*RequestDraws(config).block(0, config.n), config.budget(),
+                    config.risk())

@@ -79,6 +79,12 @@ def to_soc(instance: Instance) -> Instance:
                  psi=safety_coefficients(risk)))
 
 
+def linear_columns(a_bar: np.ndarray, k_diag: np.ndarray, psi: np.ndarray,
+                   n: int) -> np.ndarray:
+    """a_bar + (psi / sqrt(n)) * sqrt(k_diag) over trailing (m, k) axes."""
+    return a_bar + psi[:, None] / math.sqrt(n) * np.sqrt(k_diag)
+
+
 def linearize(instance: Instance) -> LinearizedInstance:
     """Build the per-request linear columns a_tilde.
 
@@ -88,6 +94,5 @@ def linearize(instance: Instance) -> LinearizedInstance:
     psi = instance.risk.psi
     if psi is None:
         raise ConfigError("instance has no safety coefficients; apply to_soc first")
-    scale = psi[None, :, None] / math.sqrt(instance.n)
-    a_tilde = instance.a_bar + scale * instance.gamma
-    return LinearizedInstance(instance, a_tilde)
+    return LinearizedInstance(instance, linear_columns(instance.a_bar, instance.k_diag,
+                                                       psi, instance.n))

@@ -128,3 +128,39 @@ def greedy_primal(lin) -> tuple[list, float]:
             revenue += float(inst.c[t, pick])
         decisions.append(pick)
     return decisions, revenue
+
+
+def forced_run(instance, decisions, variant: str = "marginal", start: float = 100.0):
+    """Run ``variant`` so that it takes ``decisions``; returns the trace
+    and the consumption its dual steps charged.
+
+    Revenue +-1e6 makes the wanted scheme the only positive margin (all
+    negative on a skip).  Prices start at ``start``, high enough that the
+    projected step never clips, so the charged total is read off the
+    price path: sum_t cons_t = (p_n - p_0) * sqrt(n) + n * d.
+    """
+    from socalloc import Instance, OnlineSolver, VariantConfig, linearize
+    n, _, k = instance.a_bar.shape
+    c = np.full((n, k), -1e6)
+    for t, l in enumerate(decisions):
+        if l is not None:
+            c[t, l] = 1e6
+    forced = Instance(c, instance.a_bar, instance.k_diag, instance.d, instance.risk)
+    solver = OnlineSolver(linearize(forced), VariantConfig(variant))
+    solver.prices[:] = start
+    trace = solver.run()
+    return trace, (solver.prices - start) * math.sqrt(n) + n * instance.d
+
+
+def reference_request(experiment: str, seed: int, t: int, m: int, k: int):
+    """Request t of a built-in model from its own fresh stream, a Philox
+    keyed by the seed at counter t * 2**64, drawn in the documented order."""
+    rng = np.random.Generator(np.random.Philox(key=seed, counter=t * 2 ** 64))
+    if experiment == "uniform":
+        u = rng.random(k + 2 * m * k)
+        return (u[:k], 4.0 * u[k:k + m * k].reshape(m, k),
+                u[k + m * k:].reshape(m, k) ** 2)
+    c = rng.gamma(1.5, 2.0, k)
+    a_bar = (2.0 / 3.0) * rng.gamma(2.0, 2.0, (m, k))
+    k_diag = ((2.0 / 3.0) * rng.gamma(1.0, 2.0, (m, k))) ** 2
+    return c, a_bar, k_diag

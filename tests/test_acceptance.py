@@ -27,15 +27,14 @@ import time
 import numpy as np
 import pytest
 
-from socalloc import (DomainError, DualState, ExperimentPlan, GeneratorConfig,
+from socalloc import (DomainError, ExperimentPlan, GeneratorConfig,
                       Instance, RiskSpec, VariantConfig, dual_value, generate,
                       linearize, mean_excess, mean_excess_inverse,
                       minimize_dual, run_online, safety_coefficient,
                       scaling_slope, soc_lhs, std_normal_cdf,
                       std_normal_quantile, to_soc)
-from socalloc.online import marginal_soc_cost
-
-from helpers import random_decisions, random_instance, trace_by_recomputation
+from helpers import (forced_run, random_decisions, random_instance,
+                     trace_by_recomputation)
 
 ETA_GRID = (0.65, 0.75, 0.85, 0.95)
 CAP_GRID = (0.2, 0.3, 0.4, 0.5)
@@ -133,24 +132,16 @@ def test_criterion_2_structural_properties():
         joint = psi * math.sqrt(k_diag[chosen, 0].sum())
         assert lin_term <= joint + 1e-12
 
-    # (c) marginal charges telescope to the cone-form usage
+    # (c) marginal charges telescope to the cone-form usage: the engine,
+    # made to take random decisions, charges its dual steps in total what
+    # the decisions use in cone form
     for case in range(1000):
         n = int(rng.integers(2, 10))
         inst = random_instance(rng, n=n, m=2, k=3, psi=rng.uniform(0, 2, 2))
-        st = DualState(prices=np.zeros(2), step_size=1.0)
-        charged = np.zeros(2)
-        decisions = []
-        for t in range(n):
-            cost = marginal_soc_cost(st, inst.a_bar[t], inst.k_diag[t],
-                                     inst.risk.psi)
-            if rng.random() < 0.7:
-                l = int(rng.integers(3))
-                charged += cost[:, l]
-                st.mean_accum += inst.a_bar[t, :, l]
-                st.q_accum += inst.k_diag[t, :, l]
-                decisions.append(l)
-            else:
-                decisions.append(None)
+        decisions = [int(rng.integers(3)) if rng.random() < 0.7 else None
+                     for _ in range(n)]
+        forced, charged = forced_run(inst, decisions)
+        assert forced.decisions == tuple(decisions)
         trace = trace_by_recomputation(inst, decisions)
         assert np.allclose(charged, soc_lhs(trace, inst), rtol=1e-9, atol=1e-9)
 

@@ -82,6 +82,17 @@ class TestExitCodes:
         assert "2 entries for 1 resources" in captured.err
         assert not captured.out and not (tmp_path / "instance.json").exists()
 
+    @pytest.mark.parametrize("stream", [False, True])
+    @pytest.mark.parametrize("budget", ["-1", "0", "1,0"])
+    def test_nonpositive_budget_is_data_error(self, tmp_path, capsys, budget, stream):
+        m = str(len(budget.split(",")))
+        argv = ["generate", "--experiment", "uniform", "--n", "2", "--m", m,
+                "--k", "2", "--d", budget] + (["--stream"] if stream else [])
+        assert run(tmp_path, *argv) == 2
+        captured = capsys.readouterr()
+        assert "budget must be positive" in captured.err
+        assert not captured.out and not (tmp_path / "instance.json").exists()
+
     def test_certificate_without_gap_is_data_error(self, tmp_path, capsys):
         assert run(tmp_path, "generate", "--experiment", "uniform", "--n", "20",
                    "--m", "2", "--k", "2", "--eta", "0.9,0.9") == 0

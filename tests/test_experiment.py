@@ -1,4 +1,4 @@
-"""Experiment harness: file outputs, determinism, parallelism, seeding."""
+"""Experiment harness: file outputs, determinism, lane sets, seeding."""
 
 import json
 from dataclasses import replace
@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from socalloc import (ConfigError, ExperimentPlan, GeneratorConfig,
-                      VariantConfig, run_experiment, run_trial, trial_seed)
+                      VariantConfig, build_report, generate, linearize,
+                      minimize_dual, run_experiment, run_online, run_trial,
+                      to_soc, trial_seed)
 from socalloc.metrics import csv_header, csv_row
 
 ETA_GRID = (0.65, 0.75, 0.85, 0.95)
@@ -39,7 +41,8 @@ class TestRunTrial:
                               variants=(VariantConfig("vanilla"),
                                         VariantConfig("marginal")),
                               output_dir="unused", master_seed=7)
-        seed, status, results = run_trial(plan, 30, 0)
+        [(seed, status, results)] = run_trial(plan, 30, [0])
+        assert seed == trial_seed(7, 30, 0)
         assert status == "ok"
         assert set(results) == {"vanilla", "marginal"}
         assert (results["vanilla"].baseline_value
@@ -51,9 +54,19 @@ class TestRunTrial:
                               variants=(VariantConfig("vanilla"),),
                               output_dir="unused", master_seed=7,
                               compute_baseline=False)
-        _, status, results = run_trial(plan, 20, 0)
+        [(_, status, results)] = run_trial(plan, 20, [0])
         assert status == "ok"
         assert np.isnan(results["vanilla"].baseline_value)
+
+    def test_trials_in_order(self):
+        gen = GeneratorConfig("uniform", n=20, m=4, k=5, eta=ETA_GRID, seed=0)
+        plan = ExperimentPlan(generator=gen, n_grid=(20,), trials=3,
+                              output_dir="unused", master_seed=7,
+                              compute_baseline=False)
+        outcomes = run_trial(plan, 20, [2, 0])
+        assert [seed for seed, _, _ in outcomes] == [trial_seed(7, 20, 2),
+                                                    trial_seed(7, 20, 0)]
+        assert run_trial(plan, 20, []) == []
 
 
 class TestRunExperiment:
@@ -76,21 +89,27 @@ class TestRunExperiment:
         assert (tmp_path / "out" / "metrics.csv").read_bytes() == first
         assert (tmp_path / "out" / "aggregate.json").read_bytes() == first_agg
 
-    def test_parallel_matches_serial(self, tmp_path):
-        # a plan with baselines runs its cells on the thread pool; its
-        # merged metrics.csv must equal the rows of run_trial called cell
-        # by cell in (n, trial) order
-        plan = small_plan(tmp_path, trials=3, n_grid=(15, 20))
-        assert plan.compute_baseline
+    @pytest.mark.parametrize("baseline", [True, False])
+    def test_lanes_match_cells_run_alone(self, tmp_path, baseline):
+        # each n runs its trials x variants as one lane set, reading the
+        # certified instances or drawing from the generator; the merged
+        # metrics.csv must equal the rows of every cell run alone, in
+        # (n, trial) order
+        plan = small_plan(tmp_path, trials=3, n_grid=(15, 20),
+                          compute_baseline=baseline)
         run_experiment(plan)
         m = plan.generator.m
         expected = [csv_header(m)]
         for n in plan.n_grid:
             for t in range(plan.trials):
-                seed, status, results = run_trial(plan, n, t)
-                expected += [csv_row("uniform", v.variant, n, t, seed,
-                                     results[v.variant], m, status=status)
-                             for v in plan.variants]
+                seed = trial_seed(plan.master_seed, n, t)
+                instance = to_soc(generate(replace(plan.generator, n=n, seed=seed)))
+                lin = linearize(instance)
+                cert = minimize_dual(lin, tol=plan.tol) if baseline else None
+                for v in plan.variants:
+                    trace = run_online(instance, lin, replace(v, rng_seed=seed))
+                    expected.append(csv_row("uniform", v.variant, n, t, seed,
+                                            build_report(instance, trace, cert), m))
         assert (tmp_path / "out" / "metrics.csv").read_text() == "".join(expected)
 
     def test_aggregate_document_shape(self, tmp_path):

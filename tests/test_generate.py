@@ -5,6 +5,9 @@ import pytest
 
 from socalloc import (ConfigError, DomainError, GeneratorConfig, generate,
                       request_fields, stream_requests, validate_instance)
+from socalloc.generate import RequestDraws
+
+from helpers import reference_request
 
 
 class TestDeterminism:
@@ -45,6 +48,38 @@ class TestOrderIndependence:
             assert np.array_equal(req.c, inst.c[t])
             assert np.array_equal(req.a_bar, inst.a_bar[t])
             assert np.array_equal(req.k_diag, inst.k_diag[t])
+
+
+class TestReferenceStreams:
+    # every request equals a fresh Philox keyed by the seed at counter
+    # t * 2**64, however the requests are drawn; seeds of 2**63 and above
+    # take the key's upper words
+    SEEDS = (0, 7, 2 ** 63 + 12345, 2 ** 64 + 5)
+
+    @pytest.mark.parametrize("experiment", ["uniform", "chi_square"])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_requests_match_fresh_streams(self, experiment, seed):
+        n, m, k = 12, 3, 4
+        cfg = GeneratorConfig(experiment, n=n, m=m, k=k, seed=seed)
+        want = [reference_request(experiment, seed, t, m, k) for t in range(n)]
+        inst = generate(cfg)
+        draws = RequestDraws(cfg)
+        block = draws.block(3, 9)
+        for t in reversed(range(n)):  # one stream, moved backwards
+            for got in (request_fields(cfg, t), draws(t),
+                        (inst.c[t], inst.a_bar[t], inst.k_diag[t])):
+                assert all(np.array_equal(a, b) for a, b in zip(got, want[t]))
+        for t, req in enumerate(stream_requests(cfg)):
+            assert all(np.array_equal(a, b)
+                       for a, b in zip((req.c, req.a_bar, req.k_diag), want[t]))
+        for i, t in enumerate(range(3, 9)):
+            assert all(np.array_equal(a[i], b) for a, b in zip(block, want[t]))
+
+    def test_far_counter(self):
+        cfg = GeneratorConfig("chi_square", n=1, m=2, k=3, seed=9)
+        t = 2 ** 40
+        want = reference_request("chi_square", 9, t, 2, 3)
+        assert all(np.array_equal(a, b) for a, b in zip(request_fields(cfg, t), want))
 
 
 class TestUniformModel:
@@ -115,4 +150,12 @@ class TestConfig:
     def test_budget_length_checked(self):
         cfg = GeneratorConfig("uniform", n=5, m=3, k=2, d=(1.0, 2.0))
         with pytest.raises(ConfigError):
+            generate(cfg)
+
+    @pytest.mark.parametrize("d", [(1.0, 0.0), (-1.0, 1.0), (float("nan"), 1.0)])
+    def test_budget_must_be_positive(self, d):
+        cfg = GeneratorConfig("uniform", n=5, m=2, k=2, d=d)
+        with pytest.raises(DomainError):
+            cfg.budget()
+        with pytest.raises(DomainError):
             generate(cfg)

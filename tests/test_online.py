@@ -1,8 +1,10 @@
-"""Online solver: pricing, decisions, dual updates, variants, causality.
+"""Online solver: pricing, decisions, dual updates, variants, causality, lanes.
 
 The pricing, decision and dual-step tests drive ``OnlineSolver.step`` on
 hand-built instances with psi = 0, so the vanilla columns equal the
-means given, and read the margins from its step recorder.
+means given, and read the margins from its step recorder.  The lane
+tests check that a lane set of many runs gives each run's trace bit for
+bit as the run alone does.
 """
 
 import math
@@ -12,13 +14,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from socalloc import (DualState, GeneratorConfig, Instance, OnlineSolver,
-                      RiskSpec, StructuralError, VariantConfig, dynamic_budget,
-                      generate, linearize, marginal_soc_cost, run_online,
-                      soc_lhs, to_soc)
-from socalloc.online import VARIANTS, canonical_variant
+from socalloc import (DomainError, GeneratorConfig, Instance, OnlineSolver,
+                      RiskSpec, StructuralError, VariantConfig, generate,
+                      linearize, run_online, soc_lhs, to_soc)
+from socalloc.online import VARIANTS, InstanceBlocks, Lanes, canonical_variant
 
-from helpers import priced_margins, projected_step, random_instance
+from helpers import forced_run, priced_margins, projected_step, random_instance
 
 ETA_GRID = (0.65, 0.75, 0.85, 0.95)
 
@@ -27,11 +28,6 @@ def experiment_one(n, seed, eta=ETA_GRID):
     cfg = GeneratorConfig("uniform", n=n, m=4, k=5, eta=eta, seed=seed)
     inst = to_soc(generate(cfg))
     return inst, linearize(inst)
-
-
-def state_with(prices, n=100, t=0, **kw):
-    return DualState(prices=np.asarray(prices, dtype=float),
-                     step_size=1.0 / math.sqrt(n), t=t, **kw)
 
 
 def hand_solver(c, cols, prices=None, *, n=1, t=0, config=VariantConfig()):
@@ -44,8 +40,8 @@ def hand_solver(c, cols, prices=None, *, n=1, t=0, config=VariantConfig()):
                     np.zeros((n, m, k)), np.ones(m), RiskSpec(psi=np.zeros(m)))
     solver = OnlineSolver(linearize(inst), config, record_steps=True)
     if prices is not None:
-        solver.state.prices = np.asarray(prices, dtype=float)
-    solver.state.t = t
+        solver.prices[:] = prices
+    solver.lanes.t = t
     return solver
 
 
@@ -122,17 +118,17 @@ class TestDualUpdate:
         p = np.array([0.4, 0.2])
         solver = hand_solver([10.0], [[1.0], [1.0]], p, n=100)  # consumes d
         assert solver.step() == 0
-        assert np.array_equal(solver.state.prices, p)
+        assert np.array_equal(solver.prices, p)
 
     def test_arithmetic(self):
         solver = hand_solver([1.0], [[0.7]], [0.2], n=100)
         assert solver.step() == 0
-        assert solver.state.prices[0] == pytest.approx(0.17, abs=1e-15)
+        assert solver.prices[0] == pytest.approx(0.17, abs=1e-15)
 
     def test_projection_binds(self):
         solver = hand_solver([-1.0], [[0.5]], [0.01], n=100)
         assert solver.step() is None  # 0.01 + (0 - 1) / 10 < 0
-        assert solver.state.prices[0] == 0.0
+        assert solver.prices[0] == 0.0
 
 
 class TestStepRecorder:
@@ -157,26 +153,61 @@ class TestStepRecorder:
             assert np.allclose(row_prices, prices, rtol=1e-12, atol=1e-14)
 
 
+def marginal_costs(a_bar, k_diag, psi, taken=None):
+    """The marginal variant's priced columns at one step, entry by entry.
+
+    A one-scheme instance with zero revenue and prices e_j has margin
+    minus entry (j, l) of the priced columns, exactly.  With ``taken`` =
+    (a_bar, k_diag) of one scheme, the run first accepts that request.
+    """
+    a_bar, k_diag, psi = (np.asarray(x, dtype=float) for x in (a_bar, k_diag, psi))
+    m, k = a_bar.shape
+    cost = np.empty((m, k))
+    for j in range(m):
+        for l in range(k):
+            c, a, kd = [[0.0]], [a_bar[:, l:l + 1]], [k_diag[:, l:l + 1]]
+            if taken is not None:
+                c, a, kd = ([[1.0]] + c, [np.reshape(taken[0], (m, 1))] + a,
+                            [np.reshape(taken[1], (m, 1))] + kd)
+            inst = Instance(c, a, kd, np.ones(m), RiskSpec(psi=psi))
+            solver = OnlineSolver(linearize(inst), VariantConfig("marginal"),
+                                  record_steps=True)
+            if taken is not None:
+                assert solver.step() == 0
+            solver.prices[:] = np.eye(m)[j]
+            solver.step()
+            cost[j, l] = -solver.steps[-1][2]
+    return cost
+
+
+def after_step(variant, c, a_bar, prices, d, n, steps):
+    """Prices after ``steps`` steps of n copies of one zero-variance,
+    psi = 0 request, starting from ``prices``."""
+    m, k = np.shape(a_bar)
+    inst = Instance(np.tile(c, (n, 1)), np.tile(a_bar, (n, 1, 1)), np.zeros((n, m, k)),
+                    d, RiskSpec(psi=np.zeros(m)))
+    solver = OnlineSolver(linearize(inst), VariantConfig(variant))
+    solver.prices[:] = prices
+    for _ in range(steps):
+        solver.step()
+    return solver.prices.copy()
+
+
 class TestMarginalCost:
     def test_first_step_pays_full_deviation(self):
-        st = state_with([0.0, 0.0], n=25)
         a_bar = np.array([[1.0, 2.0], [0.5, 0.1]])
         k_diag = np.array([[4.0, 1.0], [9.0, 0.0]])
         psi = np.array([1.5, 2.0])
-        cost = marginal_soc_cost(st, a_bar, k_diag, psi)
+        cost = marginal_costs(a_bar, k_diag, psi)
         assert np.allclose(cost, a_bar + psi[:, None] * np.sqrt(k_diag),
                            rtol=0, atol=0)
 
     def test_incremental_arithmetic(self):
-        st = state_with([0.0], n=25, q_accum=np.array([9.0]))
-        cost = marginal_soc_cost(st, np.array([[0.0]]), np.array([[7.0]]),
-                                 np.array([1.0]))
+        cost = marginal_costs([[0.0]], [[7.0]], [1.0], taken=([0.0], [9.0]))
         assert cost[0, 0] == pytest.approx(1.0, abs=1e-12)  # sqrt(16)-sqrt(9)
 
     def test_zero_variance_scheme_costs_its_mean(self):
-        st = state_with([0.0], n=25, q_accum=np.array([3.7]))
-        cost = marginal_soc_cost(st, np.array([[2.5]]), np.array([[0.0]]),
-                                 np.array([2.0]))
+        cost = marginal_costs([[2.5]], [[0.0]], [2.0], taken=([0.0], [3.7]))
         assert cost[0, 0] == 2.5
 
     def test_telescoping_equals_cone_usage(self):
@@ -185,40 +216,42 @@ class TestMarginalCost:
         for case in range(100):
             n = int(rng.integers(3, 40))
             inst = random_instance(rng, n=n, m=3, k=4, psi=rng.uniform(0, 2.5, 3))
-            st = state_with(np.zeros(3), n=n)
-            charged = np.zeros(3)
-            decisions = []
-            for t in range(n):
-                cost = marginal_soc_cost(st, inst.a_bar[t], inst.k_diag[t],
-                                         inst.risk.psi)
-                if rng.random() < 0.7:
-                    l = int(rng.integers(4))
-                    charged += cost[:, l]
-                    st.mean_accum += inst.a_bar[t, :, l]
-                    st.q_accum += inst.k_diag[t, :, l]
-                    decisions.append(l)
-                else:
-                    decisions.append(None)
-            from helpers import trace_by_recomputation
-            trace = trace_by_recomputation(inst, decisions)
+            decisions = [int(rng.integers(4)) if rng.random() < 0.7 else None
+                         for _ in range(n)]
+            trace, charged = forced_run(inst, decisions)
+            assert trace.decisions == tuple(decisions)
             assert np.allclose(charged, soc_lhs(trace, inst), rtol=1e-10, atol=1e-10)
 
 
 class TestDynamicBudget:
+    # the dynamic target shows in the price step: from equal prices and
+    # consumption, marginal-dynamic moves the prices exactly as the static
+    # target d does when its target equals d
     def test_fresh_run_gets_static_budget(self):
-        st = state_with(np.zeros(2), n=50)
         d = np.array([1.0, 2.0])
-        assert np.array_equal(dynamic_budget(st, d, 50), d)
+        args = ([1.0], [[0.5], [0.7]], [3.0, 3.0], d, 50, 1)
+        assert np.array_equal(after_step("marginal-dynamic", *args),
+                              after_step("marginal", *args))
 
     def test_exhausted_resource_target_zero(self):
-        st = state_with(np.zeros(1), n=50, t=10,
-                        g_accum=np.array([55.0]))  # beyond b = 50
-        assert dynamic_budget(st, np.array([1.0]), 50)[0] == 0.0
+        # ten steps of 5.5 leave G = 55 beyond b = 50 at t = 10: the target
+        # is zero, so a skipped step leaves the price where it was
+        n = 50
+        c = np.r_[np.full(10, 100.0), -np.ones(n - 10)][:, None]
+        inst = Instance(c, np.full((n, 1, 1), 5.5), np.zeros((n, 1, 1)), [1.0],
+                        RiskSpec(psi=[0.0]))
+        solver = OnlineSolver(linearize(inst), VariantConfig("marginal-dynamic"))
+        assert solver.run(limit=10).decisions == (0,) * 10
+        before = solver.prices.copy()
+        assert before[0] > 0.0
+        assert solver.step() is None
+        assert solver.prices[0] == before[0]
 
     def test_on_schedule_consumption_keeps_target(self):
         d = np.array([1.0, 0.5])
-        st = state_with(np.zeros(2), n=40, t=12, g_accum=12 * d)
-        assert np.allclose(dynamic_budget(st, d, 40), d, rtol=0, atol=1e-12)
+        args = ([10.0], d[:, None], [1.0, 1.0], d, 40, 13)
+        assert np.allclose(after_step("marginal-dynamic", *args),
+                           after_step("marginal", *args), rtol=0, atol=1e-12)
 
 
 class TestRunOnline:
@@ -302,18 +335,12 @@ class TestRunOnline:
                 assert other.decisions[:10] == base.decisions[:10]
 
     def test_marginal_run_charges_telescope_to_cone_usage(self):
+        # the run's own decisions, replayed with their charges on record
         inst, lin = experiment_one(250, seed=27)
-        solver = OnlineSolver(lin, VariantConfig("marginal", 27))
-        charged = np.zeros(inst.m)
-        for t in range(inst.n):
-            st = solver.state
-            cost = marginal_soc_cost(st, inst.a_bar[t], inst.k_diag[t],
-                                     inst.risk.psi)
-            scheme = solver.step()
-            if scheme is not None:
-                charged += cost[:, scheme]
-        assert np.allclose(charged, soc_lhs(solver.trace(), inst),
-                           rtol=1e-10, atol=1e-10)
+        decisions = run_online(inst, lin, VariantConfig("marginal", 27)).decisions
+        trace, charged = forced_run(inst, decisions)
+        assert trace.decisions == decisions
+        assert np.allclose(charged, soc_lhs(trace, inst), rtol=1e-10, atol=1e-10)
 
 
 class TestArgmaxInvariance:
@@ -345,35 +372,117 @@ class TestArgmaxInvariance:
                                       margins(c, s * cols, p / s))
 
 
+def assert_same_trace(got, want):
+    assert got.decisions == want.decisions
+    assert got.objective == want.objective
+    assert np.array_equal(got.mean_consumption, want.mean_consumption)
+    assert np.array_equal(got.variance_accum, want.variance_accum)
+    assert got.max_dual_inf == want.max_dual_inf
+
+
+def coarse(inst):
+    """Revenue, means and deviations rounded to multiples of 1/2, so that
+    margins tie often."""
+    return Instance(np.round(2 * inst.c) / 2, np.round(2 * inst.a_bar) / 2,
+                    (np.round(2 * np.sqrt(inst.k_diag)) / 2) ** 2, inst.d, inst.risk)
+
+
+def lane_set(instances, seeds):
+    """Every variant on every instance, each lane with its instance's seed."""
+    lins = [linearize(inst) for inst in instances]
+    lanes = [(row, VariantConfig(v, seed)) for row, seed in enumerate(seeds)
+             for v in VARIANTS]
+    return lins, lanes
+
+
+class TestLanes:
+    @pytest.mark.parametrize("experiment", ["uniform", "chi_square"])
+    def test_lanes_match_single_runs(self, experiment):
+        # the trials x variants of one n, stepped together, give each run's
+        # trace bit for bit; a one-lane set is run_online itself
+        seeds = [11, 12, 13, 14]
+        instances = [to_soc(generate(GeneratorConfig(
+            experiment, n=300, m=4, k=5, eta=ETA_GRID, seed=seed))) for seed in seeds]
+        lins, lanes = lane_set(instances, seeds)
+        traces = Lanes(InstanceBlocks(lins), lanes).run()
+        assert len(traces) == len(lanes)
+        for (row, config), trace in zip(lanes, traces):
+            assert_same_trace(trace, run_online(instances[row], lins[row], config))
+
+    def test_ties_draw_per_lane(self):
+        # coarse coefficients make ties common; each lane draws its own
+        # ties from its own seed, as it does alone
+        rng = np.random.default_rng(40)
+        n, m, k = 200, 2, 4
+        instances = [Instance(rng.integers(1, 3, (n, k)) / 2,
+                              rng.integers(0, 2, (n, m, k)) / 2,
+                              rng.integers(0, 2, (n, m, k)) / 4, np.ones(m),
+                              RiskSpec(psi=np.array([0.0, 0.5])))
+                     for _ in range(3)]
+        lins, lanes = lane_set(instances, [1, 2, 3])
+        # the same instance twice under two seeds: ties make them part ways
+        lanes += [(0, VariantConfig("vanilla", 4))]
+        traces = Lanes(InstanceBlocks(lins), lanes).run()
+        for (row, config), trace in zip(lanes, traces):
+            assert_same_trace(trace, run_online(instances[row], lins[row], config))
+        assert traces[0].decisions != traces[-1].decisions
+
+    def test_lane_order_is_free(self):
+        seeds = [5, 6]
+        instances = [to_soc(generate(GeneratorConfig(
+            "uniform", n=100, m=4, k=5, eta=ETA_GRID, seed=seed))) for seed in seeds]
+        lins, lanes = lane_set(instances, seeds)
+        forward = Lanes(InstanceBlocks(lins), lanes).run()
+        backward = Lanes(InstanceBlocks(lins), lanes[::-1]).run()[::-1]
+        for a, b in zip(forward, backward):
+            assert_same_trace(a, b)
+
+    def test_instances_must_share_n_d_and_psi(self):
+        rng = np.random.default_rng(41)
+        a = linearize(random_instance(rng, n=20, psi=np.ones(4)))
+        for other in (random_instance(rng, n=21, psi=np.ones(4)),
+                      random_instance(rng, n=20, psi=np.full(4, 2.0))):
+            with pytest.raises(StructuralError):
+                InstanceBlocks([a, linearize(other)])
+
+    def test_nonfinite_coefficients_refused(self):
+        rng = np.random.default_rng(42)
+        inst = random_instance(rng, n=20, psi=np.ones(4))
+        c = inst.c.copy()
+        c[7, 2] = np.nan
+        bad = Instance(c, inst.a_bar, inst.k_diag, inst.d, inst.risk)
+        with pytest.raises(DomainError):
+            run_online(bad, linearize(bad))
+
+
 class TestProperties:
     @settings(max_examples=60, deadline=None)
     @given(n=hst.integers(1, 25), m=hst.integers(1, 4), k=hst.integers(1, 5),
            seed=hst.integers(0, 2 ** 32 - 1), limit=hst.integers(0, 25),
-           coarse=hst.booleans())
-    @example(n=1, m=1, k=1, seed=0, limit=0, coarse=False)
-    @example(n=1, m=1, k=1, seed=1, limit=1, coarse=True)
+           coarse=hst.booleans(), rows=hst.integers(1, 3))
+    @example(n=1, m=1, k=1, seed=0, limit=0, coarse=False, rows=1)
+    @example(n=1, m=1, k=1, seed=1, limit=1, coarse=True, rows=2)
     def test_prefix_causality_and_rerun_determinism(self, n, m, k, seed, limit,
-                                                    coarse):
+                                                    coarse, rows):
         # coarse coefficients (multiples of 1/2) make ties, and so the
         # per-step tie stream, common
         rng = np.random.default_rng(seed)
-        inst = random_instance(rng, n=n, m=m, k=k, psi=rng.uniform(0, 2.5, m))
+        psi = rng.uniform(0, 2.5, m)
+        instances = [random_instance(rng, n=n, m=m, k=k, psi=psi) for _ in range(rows)]
         if coarse:
-            inst = Instance(np.round(2 * inst.c) / 2, np.round(2 * inst.a_bar) / 2,
-                            inst.k_diag, inst.d, inst.risk)
-        lin = linearize(inst)
-        for variant in VARIANTS:
-            config = VariantConfig(variant, seed)
-            full = run_online(inst, lin, config)
-            prefix = run_online(inst, lin, config, limit=limit)
-            again = run_online(inst, lin, config)
-            assert len(full.decisions) == n
-            assert prefix.decisions == full.decisions[:limit]
-            assert again.decisions == full.decisions
-            assert again.objective == full.objective
-            assert again.max_dual_inf == full.max_dual_inf
-            assert np.array_equal(again.mean_consumption, full.mean_consumption)
-            assert np.array_equal(again.variance_accum, full.variance_accum)
+            instances = [globals()["coarse"](inst) for inst in instances]
+        lins, lanes = lane_set(instances, [seed + row for row in range(rows)])
+        full = Lanes(InstanceBlocks(lins), lanes).run()
+        prefix = Lanes(InstanceBlocks(lins), lanes).run(limit=limit)
+        for (row, config), lane_full, lane_prefix in zip(lanes, full, prefix):
+            alone = run_online(instances[row], lins[row], config)
+            again = run_online(instances[row], lins[row], config)
+            assert len(alone.decisions) == n
+            assert lane_prefix.decisions == alone.decisions[:limit]
+            assert run_online(instances[row], lins[row], config,
+                              limit=limit).decisions == alone.decisions[:limit]
+            assert_same_trace(again, alone)
+            assert_same_trace(lane_full, alone)
 
 
 class TestVariantNames:
