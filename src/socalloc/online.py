@@ -134,6 +134,8 @@ class Lanes:
 
     def __init__(self, source, lanes, record_steps: bool = False):
         lanes = list(lanes)
+        if not lanes:
+            raise StructuralError("a lane set needs at least one lane")
         # lanes sorted by variant, so that each variant's lanes are a slice
         self._order = sorted(range(len(lanes)),
                              key=lambda i: VARIANTS.index(lanes[i][1].variant))
@@ -218,7 +220,8 @@ class Lanes:
         P[0, :, 0] = self.prices[self._order]
         start = self._mean_var.copy()
 
-        revenue, margins, reversed_margins = self._revenue[:, :, None, 1:], E[..., 1:], E[..., ::-1]
+        revenue = self._revenue[:, :, None, 1:]
+        margins, reversed_margins = E[..., 1:], E[..., ::-1]
         chosen_rows, offsets, no_ties = self._chosen_rows, self._offsets, self._no_ties
         corrected = self._mean_var[mg:]  # kept current step by step
         q_corrected = corrected[:, 0, 1, :, None]

@@ -380,7 +380,7 @@ def assert_same_trace(got, want):
     assert got.max_dual_inf == want.max_dual_inf
 
 
-def coarse(inst):
+def coarsened(inst):
     """Revenue, means and deviations rounded to multiples of 1/2, so that
     margins tie often."""
     return Instance(np.round(2 * inst.c) / 2, np.round(2 * inst.a_bar) / 2,
@@ -470,7 +470,7 @@ class TestProperties:
         psi = rng.uniform(0, 2.5, m)
         instances = [random_instance(rng, n=n, m=m, k=k, psi=psi) for _ in range(rows)]
         if coarse:
-            instances = [globals()["coarse"](inst) for inst in instances]
+            instances = [coarsened(inst) for inst in instances]
         lins, lanes = lane_set(instances, [seed + row for row in range(rows)])
         full = Lanes(InstanceBlocks(lins), lanes).run()
         prefix = Lanes(InstanceBlocks(lins), lanes).run(limit=limit)

@@ -33,7 +33,8 @@ def main(argv=None) -> int:
         return subprocess.run(["git", *cmd], cwd=ROOT, capture_output=True, text=True,
                               check=True).stdout.strip()
 
-    workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in bench["workloads"]]
     runs = []
     for workload in workloads:
         for trace in (0, 1):
