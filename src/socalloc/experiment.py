@@ -6,10 +6,10 @@ baseline, and runs every variant on that same instance, so variants are
 compared like-for-like.  The cells of one n run together, one n after
 another: the trials x variants of an n are the lanes of one
 :class:`~socalloc.online.Lanes` set, which steps them all with one numpy
-call per step.  With baselines the trials' instances are generated and
-certified first and the lanes read their requests from them; without,
-the lanes draw their requests from the generator block by block and no
-instance is held.  Each cell writes its own part file and the parts are
+call per step.  The lanes draw their requests from the generator block
+by block, so no instance is held while they run; with baselines each
+trial's instance is generated and certified first, one at a time, and
+only its certificate is kept.  Each cell writes its own part file and the parts are
 merged at the end, keyed by (n, trial), so reruns produce byte-identical
 reports.  Runs of the same plan with different n-grids or trial counts
 may share an output directory and union there; a fingerprint file in
@@ -30,7 +30,7 @@ from .errors import ConfigError, ConvergenceError
 from .generate import GeneratorConfig, RequestDraws, generate
 from .metrics import MetricsReport, aggregate, build_report, csv_header, csv_row, scaling_slope
 from .model import RiskSpec
-from .online import InstanceBlocks, Lanes, VariantConfig
+from .online import Lanes, VariantConfig
 from .transform import linear_columns, linearize, safety_coefficients, to_soc
 
 DEFAULT_VARIANTS = tuple(VariantConfig(v) for v in
@@ -103,24 +103,19 @@ def run_trial(plan: ExperimentPlan, n: int, trials):
     baselines: list[DualCertificate | None] = [None] * len(seeds)
     statuses = ["ok"] * len(seeds)
     if plan.compute_baseline:
-        instances = [to_soc(generate(config)) for config in configs]
-        lins = [linearize(instance) for instance in instances]
-        for row, lin in enumerate(lins):
+        for row, config in enumerate(configs):
             try:
-                baselines[row] = minimize_dual(lin, tol=plan.tol)
+                baselines[row] = minimize_dual(linearize(to_soc(generate(config))),
+                                               tol=plan.tol)
             except ConvergenceError:
                 statuses[row] = "baseline_failed"
-        source = InstanceBlocks(lins)
-    else:
-        source = _GeneratedBlocks(configs)
-        risk = plan.generator.risk()
-        limits = _Limits(RiskSpec(risk.eta, risk.gamma_tilde, source.psi),
-                         int(n) * source.d)
-        instances = [limits] * len(seeds)
+    source = _GeneratedBlocks(configs)
+    risk = plan.generator.risk()
+    limits = _Limits(RiskSpec(risk.eta, risk.gamma_tilde, source.psi), int(n) * source.d)
 
     results: list[dict[str, MetricsReport]] = [{} for _ in seeds]
     for (row, config), trace in zip(lanes, Lanes(source, lanes).run()):
-        results[row][config.variant] = build_report(instances[row], trace, baselines[row])
+        results[row][config.variant] = build_report(limits, trace, baselines[row])
     return list(zip(seeds, statuses, results))
 
 

@@ -1,12 +1,12 @@
 """Write BENCH_<label>.json from the benchmark's six result lines.
 
-    python3 tools/bench_json.py LABEL [--seed 7] [--seconds 30]
+    python3 tools/bench_json.py LABEL
 
 Runs ``perfbench/run.py`` on every workload of ``BENCHMARK.json``, with
-``--trace 0`` and then ``--trace 1``, one run after another, and writes
-the last line each run prints (its JSON result), the git revision of the
-tree and the number of usable processors to ``BENCH_<label>.json`` at
-the repository root.  Run it on a clean tree, so that the revision
+``--trace 0`` and then ``--trace 1``, at seed 7 for 30 s each, one run
+after another, and writes the last line each run prints (its JSON
+result), the git revision of the tree and the number of usable
+processors to ``BENCH_<label>.json`` at the repository root.  Run it on a clean tree, so that the revision
 names the code that was measured.
 """
 
@@ -20,13 +20,14 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# fixed, so that every BENCH_*.json file is comparable with the others
+SEED = 7
+SECONDS = 30
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("label")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--seconds", type=float, default=30)
     args = parser.parse_args(argv)
 
     def git(*cmd) -> str:
@@ -40,15 +41,15 @@ def main(argv=None) -> int:
         for trace in (0, 1):
             done = subprocess.run(
                 [sys.executable, "perfbench/run.py", "--workload", workload,
-                 "--seed", str(args.seed), "--seconds", str(args.seconds),
+                 "--seed", str(SEED), "--seconds", str(SECONDS),
                  "--trace", str(trace)],
                 cwd=ROOT, capture_output=True, text=True, check=True)
             runs.append({"workload": workload, "trace": trace,
                          "result": json.loads(done.stdout.strip().splitlines()[-1])})
     doc = {"label": args.label, "revision": git("rev-parse", "HEAD"),
            "clean": git("status", "--porcelain", "--untracked-files=no") == "",
-           "nproc": len(os.sched_getaffinity(0)), "seed": args.seed,
-           "seconds": args.seconds, "runs": runs}
+           "nproc": len(os.sched_getaffinity(0)), "seed": SEED,
+           "seconds": SECONDS, "runs": runs}
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {path.name}")
