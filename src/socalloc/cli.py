@@ -22,7 +22,7 @@ from pathlib import Path
 from .baseline import DualCertificate, minimize_dual
 from .errors import ConvergenceError, SocAllocError
 from .experiment import ExperimentPlan, run_experiment
-from .generate import GeneratorConfig, generate, request_fields
+from .generate import GeneratorConfig, generate, stream_requests
 from .metrics import build_report, csv_header, csv_row
 from .model import (Instance, RiskSpec, load_instance, load_trace,
                     save_instance, save_trace, validate_instance)
@@ -138,10 +138,9 @@ def _cmd_generate(args) -> int:
     if args.eta is not None or args.gamma_tilde is not None:
         safety_coefficients(config.risk())  # rejects a negative psi before writing
     if args.stream:
-        for t in range(config.n):
-            c, a_bar, k_diag = request_fields(config, t)
-            print(json.dumps({"t": t, "c": c.tolist(), "a_bar": a_bar.tolist(),
-                              "k_diag": k_diag.tolist()}))
+        for t, req in enumerate(stream_requests(config)):
+            print(json.dumps({"t": t, "c": req.c.tolist(), "a_bar": req.a_bar.tolist(),
+                              "k_diag": req.k_diag.tolist()}))
         return EXIT_OK
     instance = generate(config)
     problems = validate_instance(instance)

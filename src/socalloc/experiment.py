@@ -63,13 +63,15 @@ class _GeneratedBlocks:
     def __init__(self, configs):
         first = configs[0]
         self.draws = [RequestDraws(config) for config in configs]
-        self.n, self.k = first.n, first.k
+        self.n, self.m, self.k = first.n, first.m, first.k
         self.d = first.budget()
         self.psi = safety_coefficients(first.risk())
 
     def __call__(self, start: int, stop: int):
-        c, a_bar, k_diag = (np.stack(field, axis=1) for field in
-                            zip(*(draws.block(start, stop) for draws in self.draws)))
+        T, R, m, k = stop - start, len(self.draws), self.m, self.k
+        c, a_bar, k_diag = np.empty((T, R, k)), np.empty((T, R, m, k)), np.empty((T, R, m, k))
+        for r, draws in enumerate(self.draws):
+            draws.fill(start, c[:, r], a_bar[:, r], k_diag[:, r])
         return c, a_bar, k_diag, linear_columns(a_bar, k_diag, self.psi, self.n)
 
 

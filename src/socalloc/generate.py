@@ -12,9 +12,13 @@ Every request owns a counter-based stream (Philox keyed by the seed,
 counter t * 2**64) and draws its fields in a fixed order, so coefficients
 depend only on (seed, t): generation order is irrelevant, and requests
 can be streamed one at a time without materializing the instance.  One
-Philox per config serves every request: before each draw it is moved to
-the request's counter with an empty buffer, which is the state a fresh
-Philox at that counter starts in.
+Philox per config serves every request.  Moving it to request t assigns
+a state dict built once from Python ints: counter [0, t, 0, 0], an empty
+buffer and no half-used 32-bit word, the state a fresh Philox at that
+counter starts in.  A block of requests draws each request's raw
+variates into one row of a (T, k + 2mk) buffer, and the model's scales
+and squares are applied to the whole block at once; a ``custom``
+sampler is called once per request.
 """
 
 from __future__ import annotations
@@ -28,6 +32,10 @@ from .errors import ConfigError, DomainError, StructuralError
 from .model import Instance, Request, RiskSpec
 
 EXPERIMENTS = ("uniform", "chi_square")
+#: Requests that generate() and stream_requests() draw into one raw
+#: buffer at a time: 92 KB at m = 4, k = 5, so the buffer stays small
+#: however large n is.
+CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -75,54 +83,74 @@ class GeneratorConfig:
         return risk
 
 
-def _draw_uniform(rng: np.random.Generator, m: int, k: int):
-    u = rng.random(k + 2 * m * k)
-    c = u[:k]
-    a_bar = 4.0 * u[k:k + m * k].reshape(m, k)
-    k_diag = u[k + m * k:].reshape(m, k) ** 2
-    return c, a_bar, k_diag
-
-
-def _draw_chi_square(rng: np.random.Generator, m: int, k: int):
-    c = rng.gamma(1.5, 2.0, k)
-    a_bar = (2.0 / 3.0) * rng.gamma(2.0, 2.0, (m, k))
-    k_diag = ((2.0 / 3.0) * rng.gamma(1.0, 2.0, (m, k))) ** 2
-    return c, a_bar, k_diag
-
-
-_DRAWERS = {"uniform": _draw_uniform, "chi_square": _draw_chi_square}
-
-
 class RequestDraws:
     """The coefficients of any request of one config, from one Philox.
 
     ``draws(t)`` returns (c, a_bar, k_diag) of request t;
     ``draws.block(start, stop)`` stacks requests start..stop-1 into
-    arrays of shape (T, k), (T, m, k) and (T, m, k).  Requests may be
-    drawn in any order.
+    C-contiguous arrays of shape (T, k), (T, m, k) and (T, m, k), and
+    ``draws.fill(start, c, a_bar, k_diag)`` writes them into given
+    arrays of those shapes.  Requests may be drawn in any order.
     """
 
     def __init__(self, config: GeneratorConfig):
         self.bits = np.random.Philox(key=config.seed)
         self.rng = np.random.Generator(self.bits)
-        self.state = self.bits.state
-        self.drawer = (config.sampler if config.experiment == "custom"
-                       else _DRAWERS[config.experiment])
+        # the state of a fresh Philox at counter t * 2**64 (buffer empty,
+        # no half-used 32-bit word), in Python ints; _at(t) sets counter[1]
+        self.counter = [0, 0, 0, 0]
+        key = [int(word) for word in self.bits.state["state"]["key"]]
+        self.state = {"bit_generator": "Philox",
+                      "state": {"counter": self.counter, "key": key},
+                      "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+                      "has_uint32": 0, "uinteger": 0}
+        self.experiment, self.sampler = config.experiment, config.sampler
         self.m, self.k = config.m, config.k
 
-    def __call__(self, t: int):
-        # counter t * 2**64 as four 64-bit words, buffer empty
-        self.state["state"]["counter"] = np.array([0, t, 0, 0], dtype=np.uint64)
-        self.state["buffer_pos"] = 4
+    def _at(self, t: int) -> np.random.Generator:
+        """The generator, moved to the start of request t's stream."""
+        self.counter[1] = t
         self.bits.state = self.state
-        return self.drawer(self.rng, self.m, self.k)
+        return self.rng
+
+    def __call__(self, t: int):
+        c, a_bar, k_diag = self.block(t, t + 1)
+        return c[0], a_bar[0], k_diag[0]
 
     def block(self, start: int, stop: int):
         T, m, k = stop - start, self.m, self.k
-        c, a_bar, k_diag = np.empty((T, k)), np.empty((T, m, k)), np.empty((T, m, k))
-        for i in range(T):
-            c[i], a_bar[i], k_diag[i] = self(start + i)
-        return c, a_bar, k_diag
+        out = np.empty((T, k)), np.empty((T, m, k)), np.empty((T, m, k))
+        self.fill(start, *out)
+        return out
+
+    def fill(self, start: int, c: np.ndarray, a_bar: np.ndarray, k_diag: np.ndarray):
+        T, m, k = len(c), self.m, self.k
+        if self.experiment == "custom":
+            for i in range(T):
+                c[i], a_bar[i], k_diag[i] = self.sampler(self._at(start + i), m, k)
+            return
+        # row i holds request start + i's variates in draw order: k for c,
+        # then m*k for a_bar, then m*k for k_diag; a block is scaled at once
+        mk = m * k
+        raw = np.empty((T, k + 2 * mk))
+        if self.experiment == "uniform":
+            for i, row in enumerate(raw):
+                self._at(start + i).random(out=row)
+            mean_scale = 4.0
+        else:
+            # chi2(v) as Generator.gamma(v / 2, 2.0) draws it:
+            # 2.0 * standard_gamma(v / 2), then the model's 2/3
+            for i, row in enumerate(raw):
+                rng = self._at(start + i)
+                rng.standard_gamma(1.5, out=row[:k])
+                rng.standard_gamma(2.0, out=row[k:k + mk])
+                rng.standard_gamma(1.0, out=row[k + mk:])
+            raw *= 2.0
+            raw[:, k:] *= 2.0 / 3.0
+            mean_scale = 1.0
+        c[...] = raw[:, :k]
+        np.multiply(mean_scale, raw[:, k:k + mk].reshape(T, m, k), out=a_bar)
+        np.square(raw[:, k + mk:].reshape(T, m, k), out=k_diag)
 
 
 def request_fields(config: GeneratorConfig, t: int):
@@ -133,11 +161,22 @@ def request_fields(config: GeneratorConfig, t: int):
 def stream_requests(config: GeneratorConfig) -> Iterator[Request]:
     """Yield requests in arrival order without materializing the instance."""
     draws = RequestDraws(config)
-    for t in range(config.n):
-        yield Request(*draws(t))
+    for start in range(0, config.n, CHUNK):
+        for row in zip(*draws.block(start, min(start + CHUNK, config.n))):
+            yield Request(*row)
 
 
 def generate(config: GeneratorConfig) -> Instance:
-    """Materialize the full instance for the configuration."""
-    return Instance(*RequestDraws(config).block(0, config.n), config.budget(),
-                    config.risk())
+    """Materialize the full instance for the configuration.
+
+    The arrays are filled CHUNK requests at a time and frozen, so the
+    instance adopts them without a copy.
+    """
+    n, m, k = config.n, config.m, config.k
+    fields = np.empty((n, k)), np.empty((n, m, k)), np.empty((n, m, k))
+    draws = RequestDraws(config)
+    for start in range(0, n, CHUNK):
+        draws.fill(start, *(field[start:start + CHUNK] for field in fields))
+    for field in fields:
+        field.setflags(write=False)
+    return Instance(*fields, config.budget(), config.risk())

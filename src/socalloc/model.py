@@ -22,6 +22,12 @@ Decision = Optional[int]
 
 
 def _frozen(a, dtype=float) -> np.ndarray:
+    """``a`` as a read-only array.  A read-only array of ``dtype`` that
+    owns its data is adopted as it is; anything else is copied, so a
+    caller's writable array can never change the frozen one."""
+    if (isinstance(a, np.ndarray) and a.dtype == dtype and a.base is None
+            and not a.flags.writeable):
+        return a
     arr = np.array(a, dtype=dtype)
     arr.setflags(write=False)
     return arr

@@ -152,10 +152,16 @@ def forced_run(instance, decisions, variant: str = "marginal", start: float = 10
     return trace, (solver.prices - start) * math.sqrt(n) + n * instance.d
 
 
+def reference_stream(seed: int, t: int) -> np.random.Generator:
+    """Request t's own fresh stream: a Philox keyed by the seed at counter
+    t * 2**64."""
+    return np.random.Generator(np.random.Philox(key=seed, counter=t * 2 ** 64))
+
+
 def reference_request(experiment: str, seed: int, t: int, m: int, k: int):
-    """Request t of a built-in model from its own fresh stream, a Philox
-    keyed by the seed at counter t * 2**64, drawn in the documented order."""
-    rng = np.random.Generator(np.random.Philox(key=seed, counter=t * 2 ** 64))
+    """Request t of a built-in model from its own fresh stream, drawn in
+    the documented order."""
+    rng = reference_stream(seed, t)
     if experiment == "uniform":
         u = rng.random(k + 2 * m * k)
         return (u[:k], 4.0 * u[k:k + m * k].reshape(m, k),

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from socalloc import trial_seed
+from socalloc import GeneratorConfig, generate, trial_seed
 from socalloc.cli import main
 
 ETA = "0.65,0.75,0.85,0.95"
@@ -156,6 +156,16 @@ class TestPipeline:
         first = json.loads(lines[0])
         assert set(first) == {"t", "c", "a_bar", "k_diag"}
         assert not (tmp_path / "instance.json").exists()
+
+    def test_stream_lines_match_generated_rows(self, tmp_path, capsys):
+        assert run(tmp_path, "generate", "--experiment", "uniform", "--n", "1100",
+                   "--m", "2", "--k", "3", "--seed", "11", "--stream") == 0
+        inst = generate(GeneratorConfig("uniform", n=1100, m=2, k=3, seed=11))
+        want = "".join(
+            json.dumps({"t": t, "c": inst.c[t].tolist(), "a_bar": inst.a_bar[t].tolist(),
+                        "k_diag": inst.k_diag[t].tolist()}) + "\n"
+            for t in range(inst.n))
+        assert capsys.readouterr().out == want
 
     def test_experiment_subcommand(self, tmp_path, capsys):
         assert run(tmp_path, "experiment", "--experiment", "uniform",

@@ -5,9 +5,9 @@ import pytest
 
 from socalloc import (ConfigError, DomainError, GeneratorConfig, generate,
                       request_fields, stream_requests, validate_instance)
-from socalloc.generate import RequestDraws
+from socalloc.generate import CHUNK, RequestDraws
 
-from helpers import reference_request
+from helpers import reference_request, reference_stream
 
 
 class TestDeterminism:
@@ -80,6 +80,80 @@ class TestReferenceStreams:
         t = 2 ** 40
         want = reference_request("chi_square", 9, t, 2, 3)
         assert all(np.array_equal(a, b) for a, b in zip(request_fields(cfg, t), want))
+
+    @pytest.mark.parametrize("experiment", ["uniform", "chi_square"])
+    @pytest.mark.parametrize("seed", (0, 2 ** 63 + 12345, 2 ** 64 + 5))
+    def test_far_counter_block(self, experiment, seed):
+        cfg = GeneratorConfig(experiment, n=1, m=2, k=3, seed=seed)
+        t = 2 ** 40
+        block = RequestDraws(cfg).block(t - 1, t + 2)
+        for i, u in enumerate(range(t - 1, t + 2)):
+            want = reference_request(experiment, seed, u, 2, 3)
+            assert all(np.array_equal(a[i], b) for a, b in zip(block, want))
+
+
+class TestBlocks:
+    # generate() fills its arrays CHUNK requests at a time; n is not a
+    # multiple of CHUNK, so the last chunk is short
+    @pytest.mark.parametrize("experiment", ["uniform", "chi_square"])
+    def test_chunk_boundaries(self, experiment):
+        n, m, k, seed = 3 * CHUNK + 37, 2, 3, 2 ** 63 + 12345
+        cfg = GeneratorConfig(experiment, n=n, m=m, k=k, seed=seed)
+        inst = generate(cfg)
+        block = RequestDraws(cfg).block(CHUNK - 5, n)
+        for t in range(n):
+            want = reference_request(experiment, seed, t, m, k)
+            assert all(np.array_equal(a[t], b) for a, b in
+                       zip((inst.c, inst.a_bar, inst.k_diag), want))
+            if t >= CHUNK - 5:
+                assert all(np.array_equal(a[t - CHUNK + 5], b) for a, b in zip(block, want))
+
+    @pytest.mark.parametrize("experiment", ["uniform", "chi_square"])
+    def test_outputs_c_contiguous_and_frozen(self, experiment):
+        cfg = GeneratorConfig(experiment, n=CHUNK + 3, m=3, k=2, seed=1)
+        inst = generate(cfg)
+        draws = RequestDraws(cfg)
+        arrays = (inst.c, inst.a_bar, inst.k_diag, *draws.block(2, 9), *draws(4),
+                  *request_fields(cfg, 5))
+        assert all(a.flags.c_contiguous for a in arrays)
+        assert not any(a.flags.writeable for a in (inst.c, inst.a_bar, inst.k_diag))
+
+    def test_fill_writes_strided_rows(self):
+        # the lanes' block source fills column r of (T, R, ...) arrays
+        cfg = GeneratorConfig("chi_square", n=20, m=2, k=3, seed=3)
+        draws = RequestDraws(cfg)
+        c, a_bar, k_diag = np.zeros((6, 2, 3)), np.zeros((6, 2, 2, 3)), np.zeros((6, 2, 2, 3))
+        draws.fill(4, c[:, 1], a_bar[:, 1], k_diag[:, 1])
+        for got, want in zip((c, a_bar, k_diag), draws.block(4, 10)):
+            assert np.array_equal(got[:, 1], want)
+            assert not got[:, 0].any()
+
+
+class TestCustomSampler:
+    # a sampler drawing an odd number of 32-bit integers leaves half a
+    # 64-bit word behind; moving to the next request must drop it
+    @staticmethod
+    def sampler(rng, m, k):
+        c = rng.integers(0, 2 ** 32, size=k, dtype=np.uint32).astype(float)
+        a_bar = rng.random((m, k))
+        k_diag = rng.integers(0, 2 ** 32, size=(m, k), dtype=np.uint32).astype(float)
+        return c, a_bar, k_diag
+
+    @pytest.mark.parametrize("seed", (0, 2 ** 63 + 12345, 2 ** 64 + 5))
+    def test_rows_match_fresh_streams_in_any_order(self, seed):
+        n, m, k = 9, 1, 3
+        cfg = GeneratorConfig("custom", n=n, m=m, k=k, seed=seed, sampler=self.sampler)
+        want = [self.sampler(reference_stream(seed, t), m, k) for t in range(n)]
+        inst = generate(cfg)
+        rows = [(inst.c[t], inst.a_bar[t], inst.k_diag[t]) for t in range(n)]
+        draws = RequestDraws(cfg)
+        interleaved = [0, 8, 1, 7, 2, 6, 3, 5, 4]
+        for order in (range(n), reversed(range(n)), interleaved):
+            got = {t: draws(t) for t in order}
+            rows += [got[t] for t in range(n)]
+        rows += [(req.c, req.a_bar, req.k_diag) for req in stream_requests(cfg)]
+        for i, got in enumerate(rows):
+            assert all(np.array_equal(a, b) for a, b in zip(got, want[i % n]))
 
 
 class TestUniformModel:

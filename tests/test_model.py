@@ -5,10 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from socalloc import (ConfigError, Instance, Request, RiskSpec, SolutionTrace,
-                      StructuralError, instance_from_dict, instance_to_dict,
-                      soc_lhs, trace_from_dict, trace_to_dict,
-                      validate_instance)
+from socalloc import (ConfigError, GeneratorConfig, Instance, Request, RiskSpec,
+                      SolutionTrace, StructuralError, generate, instance_from_dict,
+                      instance_to_dict, soc_lhs, to_soc, trace_from_dict,
+                      trace_to_dict, validate_instance)
 
 from helpers import random_decisions, random_instance, trace_by_recomputation
 
@@ -43,6 +43,25 @@ class TestConstruction:
         inst = random_instance(np.random.default_rng(1), n=4)
         with pytest.raises(ValueError):
             inst.c[0, 0] = 99.0
+
+    def test_frozen_owner_adopted(self):
+        inst = generate(GeneratorConfig("uniform", n=5, m=2, k=3, eta=(0.9, 0.8), seed=1))
+        soc = to_soc(inst)
+        for name in ("c", "a_bar", "k_diag", "d"):
+            assert np.shares_memory(getattr(inst, name), getattr(soc, name))
+
+    def test_writable_or_borrowed_arrays_copied(self):
+        rng = np.random.default_rng(4)
+        c, a_bar, k_diag = rng.random((3, 2)), rng.random((3, 4, 2)), rng.random((3, 4, 2))
+        view = k_diag[:]
+        view.setflags(write=False)  # read-only, but its owner is writable
+        inst = Instance(c, a_bar, view, np.ones(4))
+        keep = inst.c.copy(), inst.a_bar.copy(), inst.k_diag.copy()
+        for array in (c, a_bar, k_diag):
+            array[...] = -1.0
+        assert not np.shares_memory(inst.k_diag, k_diag)
+        assert all(np.array_equal(a, b) for a, b in
+                   zip((inst.c, inst.a_bar, inst.k_diag), keep))
 
     def test_from_requests_round_trip(self):
         rng = np.random.default_rng(2)

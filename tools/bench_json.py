@@ -6,8 +6,11 @@ Runs ``perfbench/run.py`` on every workload of ``BENCHMARK.json``, with
 ``--trace 0`` and then ``--trace 1``, at seed 7 for 30 s each, one run
 after another, and writes the last line each run prints (its JSON
 result), the git revision of the tree and the number of usable
-processors to ``BENCH_<label>.json`` at the repository root.  Run it on a clean tree, so that the revision
-names the code that was measured.
+processors to ``BENCH_<label>.json`` at the repository root.  Run it on
+a clean tree, so that the revision names the code that was measured.  A
+run that exits nonzero (its stderr is printed), reports ``correct:
+false`` or counts failed operations stops the tool before any file is
+written.
 """
 
 from __future__ import annotations
@@ -43,9 +46,18 @@ def main(argv=None) -> int:
                 [sys.executable, "perfbench/run.py", "--workload", workload,
                  "--seed", str(SEED), "--seconds", str(SECONDS),
                  "--trace", str(trace)],
-                cwd=ROOT, capture_output=True, text=True, check=True)
-            runs.append({"workload": workload, "trace": trace,
-                         "result": json.loads(done.stdout.strip().splitlines()[-1])})
+                cwd=ROOT, capture_output=True, text=True)
+            if done.returncode != 0:
+                sys.stderr.write(done.stderr)
+                print(f"{workload} --trace {trace} exited with {done.returncode}; "
+                      "no file written", file=sys.stderr)
+                return 1
+            result = json.loads(done.stdout.strip().splitlines()[-1])
+            if not result["correct"] or result["failed"] > 0:
+                print(f"{workload} --trace {trace}: correct={result['correct']}, "
+                      f"failed={result['failed']}; no file written", file=sys.stderr)
+                return 1
+            runs.append({"workload": workload, "trace": trace, "result": result})
     doc = {"label": args.label, "revision": git("rev-parse", "HEAD"),
            "clean": git("status", "--porcelain", "--untracked-files=no") == "",
            "nproc": len(os.sched_getaffinity(0)), "seed": SEED,
