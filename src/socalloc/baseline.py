@@ -42,9 +42,15 @@ class DualCertificate:
                    iterations=int(doc["iterations"]), gap=float(doc["gap"]))
 
 
+#: Requests per block of a smoothed pass: its temporaries are (m, CHUNK k).
+CHUNK = 2048
+
+
 def _reduced_values(prices: np.ndarray, lin: LinearizedInstance) -> np.ndarray:
-    """c_t - p . A_t for every request and scheme, (n, k), without copying A."""
-    return lin.base.c - np.einsum("j,tjk->tk", prices, lin.a_tilde)
+    """c_t - p . A_t for every request and scheme, (n, k), as one product
+    with the (m, n k) view of the columns."""
+    reduced = (prices @ lin.columns.reshape(lin.base.m, -1)).reshape(lin.base.c.shape)
+    return np.subtract(lin.base.c, reduced, out=reduced)
 
 
 def dual_value_and_subgradient(prices: np.ndarray,
@@ -62,7 +68,7 @@ def dual_value_and_subgradient(prices: np.ndarray,
     choice = reduced.argmax(axis=1)
     best = np.take_along_axis(reduced, choice[:, None], axis=1)[:, 0]
     t = np.flatnonzero(best > 0.0)
-    return float(prices @ b + best[t].sum()), b - lin.a_tilde[t, :, choice[t]].sum(axis=0)
+    return float(prices @ b + best[t].sum()), b - lin.columns[:, t, choice[t]].sum(axis=1)
 
 
 def dual_value(prices: np.ndarray, lin: LinearizedInstance) -> float:
@@ -72,20 +78,36 @@ def dual_value(prices: np.ndarray, lin: LinearizedInstance) -> float:
 
 def _smoothed(prices: np.ndarray, lin: LinearizedInstance, mu: float):
     """f_mu, its gradient and its Hessian at ``prices``, in one pass whose
-    temporaries are (n, k) or (n, m)."""
-    a, b = lin.a_tilde, lin.base.budget
-    reduced = _reduced_values(prices, lin)
-    # numpy reduces a short contiguous axis slowly; exp is slow where it underflows
-    top = np.maximum(np.ascontiguousarray(reduced.T).max(axis=0), 0.0)
-    pi = np.exp(np.maximum((reduced - top[:, None]) / mu, -700.0))
-    z = np.exp(np.maximum(-top / mu, -700.0)) + pi.sum(axis=1)
+    temporaries are (n, k) or (m, CHUNK k).
+
+    With pi_t the softmax weights of request t, the gradient is b less
+    sum_t A_t pi_t and the Hessian is sum_t (A_t diag(pi_t) A_t' -
+    (A_t pi_t)(A_t pi_t)') / mu, each a product over the flat columns."""
+    b, m, k = lin.base.budget, lin.base.m, lin.base.k
+    # each (n, k) or (m, CHUNK k) array is allocated once and then worked
+    # in place: numpy reduces a short contiguous axis slowly, and exp is
+    # slow where it underflows
+    pi = _reduced_values(prices, lin)
+    top = np.maximum(np.ascontiguousarray(pi.T).max(axis=0), 0.0)
+    pi -= top[:, None]
+    pi /= mu
+    np.exp(np.maximum(pi, -700.0, out=pi), out=pi)
+    z = np.exp(np.maximum(-top / mu, -700.0)) + pi @ np.ones(k)
     pi /= z[:, None]
-    mean = np.einsum("tk,tjk->tj", pi, a)
-    second = np.empty((len(b), len(b)))
-    for i in range(len(b)):
-        second[i, i:] = second[i:, i] = np.einsum("tk,tjk->j", pi * a[:, i, :], a[:, i:, :])
-    return (float(prices @ b + (top + mu * np.log(z)).sum()), b - mean.sum(axis=0),
-            (second - mean.T @ mean) / mu)
+    cols, weights, width = lin.columns.reshape(m, -1), pi.reshape(-1), CHUNK * k
+    used, second, mean_outer = np.zeros(m), np.zeros((m, m)), np.zeros((m, m))
+    buffer = np.empty((m, min(width, cols.shape[1])))
+    for start in range(0, cols.shape[1], width):
+        part = cols[:, start:start + width]
+        weighted = np.multiply(part, weights[start:start + width],
+                               out=buffer[:, :part.shape[1]])
+        mean = weighted.reshape(m, -1, k) @ np.ones(k)  # A_t pi_t, (m, chunk)
+        used += mean.sum(axis=1)
+        second += weighted @ part.T
+        mean_outer += mean @ mean.T
+    hessian = (second - mean_outer) / mu
+    return (float(prices @ b + (top + mu * np.log(z)).sum()), b - used,
+            (hessian + hessian.T) / 2)  # weighted @ part.T rounds unevenly
 
 
 def _certify(prices: np.ndarray, lin: LinearizedInstance) -> tuple[float, float]:

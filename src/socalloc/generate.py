@@ -173,10 +173,11 @@ def generate(config: GeneratorConfig) -> Instance:
     instance adopts them without a copy.
     """
     n, m, k = config.n, config.m, config.k
+    budget, risk = config.budget(), config.risk()  # a bad config fails before drawing
     fields = np.empty((n, k)), np.empty((n, m, k)), np.empty((n, m, k))
     draws = RequestDraws(config)
     for start in range(0, n, CHUNK):
         draws.fill(start, *(field[start:start + CHUNK] for field in fields))
     for field in fields:
         field.setflags(write=False)
-    return Instance(*fields, config.budget(), config.risk())
+    return Instance(*fields, budget, risk)

@@ -30,15 +30,26 @@ from .model import Instance, RiskSpec, _frozen
 
 @dataclass(frozen=True)
 class LinearizedInstance:
-    """An instance together with its per-request pricing columns."""
+    """An instance together with its per-request pricing columns.
+
+    ``columns`` holds them resource-major: a read-only, C-contiguous
+    (m, n, k) array, so ``columns.reshape(m, n * k)`` is one matrix
+    without a copy.  ``a_tilde`` is its (n, m, k) transposed view.
+    """
 
     base: Instance
-    a_tilde: np.ndarray  # (n, m, k)
+    columns: np.ndarray  # (m, n, k)
 
     def __post_init__(self):
-        object.__setattr__(self, "a_tilde", _frozen(self.a_tilde))
-        if self.a_tilde.shape != self.base.a_bar.shape:
-            raise ConfigError("a_tilde shape does not match the instance")
+        object.__setattr__(self, "columns", _frozen(np.ascontiguousarray(self.columns)))
+        n, m, k = self.base.a_bar.shape
+        if self.columns.shape != (m, n, k):
+            raise ConfigError("linear columns do not match the instance's shape")
+
+    @property
+    def a_tilde(self) -> np.ndarray:
+        """The columns a_tilde_tj, (n, m, k), read-only."""
+        return self.columns.transpose(1, 0, 2)
 
 
 def safety_coefficients(risk: RiskSpec) -> np.ndarray:
@@ -80,13 +91,19 @@ def to_soc(instance: Instance) -> Instance:
 
 
 def linear_columns(a_bar: np.ndarray, k_diag: np.ndarray, psi: np.ndarray,
-                   n: int) -> np.ndarray:
-    """a_bar + (psi / sqrt(n)) * sqrt(k_diag) over trailing (m, k) axes."""
-    return a_bar + psi[:, None] / math.sqrt(n) * np.sqrt(k_diag)
+                   n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """a_bar + (psi / sqrt(n)) * sqrt(k_diag) over trailing (m, k) axes,
+    written into ``out`` if given; computed in place, with no temporary
+    of the columns' size, and with the same bits as that expression."""
+    out = np.sqrt(k_diag, out=out)
+    out *= psi[:, None] / math.sqrt(n)
+    out += a_bar
+    return out
 
 
 def linearize(instance: Instance) -> LinearizedInstance:
-    """Build the per-request linear columns a_tilde.
+    """Build the per-request linear columns a_tilde, written once into
+    their resource-major array.
 
     Requires psi (see :func:`to_soc`); with psi = 0 the columns reduce
     to the plain means.
@@ -94,5 +111,8 @@ def linearize(instance: Instance) -> LinearizedInstance:
     psi = instance.risk.psi
     if psi is None:
         raise ConfigError("instance has no safety coefficients; apply to_soc first")
-    return LinearizedInstance(instance, linear_columns(instance.a_bar, instance.k_diag,
-                                                       psi, instance.n))
+    n, m, k = instance.a_bar.shape
+    columns = np.empty((m, n, k))
+    linear_columns(instance.a_bar, instance.k_diag, psi, n, out=columns.transpose(1, 0, 2))
+    columns.setflags(write=False)
+    return LinearizedInstance(instance, columns)

@@ -130,6 +130,23 @@ def greedy_primal(lin) -> tuple[list, float]:
     return decisions, revenue
 
 
+def smoothed_by_resource(prices, lin, mu: float):
+    """Smoothed dual f_mu, its gradient and its Hessian at ``prices``,
+    from per-request einsums over a_tilde and one loop over resources."""
+    a, b = lin.a_tilde, lin.base.budget
+    reduced = lin.base.c - np.einsum("j,tjk->tk", prices, a)
+    top = np.maximum(reduced.max(axis=1), 0.0)
+    pi = np.exp(np.maximum((reduced - top[:, None]) / mu, -700.0))
+    z = np.exp(np.maximum(-top / mu, -700.0)) + pi.sum(axis=1)
+    pi /= z[:, None]
+    mean = np.einsum("tk,tjk->tj", pi, a)
+    second = np.empty((len(b), len(b)))
+    for i in range(len(b)):
+        second[i, i:] = second[i:, i] = np.einsum("tk,tjk->j", pi * a[:, i, :], a[:, i:, :])
+    return (float(prices @ b + (top + mu * np.log(z)).sum()), b - mean.sum(axis=0),
+            (second - mean.T @ mean) / mu)
+
+
 def forced_run(instance, decisions, variant: str = "marginal", start: float = 100.0):
     """Run ``variant`` so that it takes ``decisions``; returns the trace
     and the consumption its dual steps charged.

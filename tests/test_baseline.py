@@ -11,7 +11,13 @@ from socalloc import (ConvergenceError, DomainError, DualCertificate,
                       dual_value_and_subgradient, generate, linearize,
                       minimize_dual, soc_lhs, to_soc)
 
-from helpers import greedy_primal, random_instance, trace_by_recomputation
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
+
+from socalloc.baseline import CHUNK, _smoothed
+
+from helpers import (greedy_primal, random_instance, smoothed_by_resource,
+                     trace_by_recomputation)
 
 
 def toy_m1():
@@ -204,6 +210,45 @@ class TestMinimizeDual:
         cert = minimize_dual(lin, tol=1e-6)
         assert cert.iterations <= 150
         assert cert.gap <= 1e-6 * cert.value
+
+
+class TestSmoothedPass:
+    @pytest.mark.parametrize("n, m, k, psi", [
+        (1, 1, 1, 0.0), (1, 3, 4, 1.2), (7, 1, 3, 0.8), (9, 4, 1, 0.5),
+        (CHUNK, 2, 2, 0.0), (2 * CHUNK + 37, 4, 5, 1.6)])
+    @pytest.mark.parametrize("mu", [1e-4, 0.05])
+    def test_matches_per_resource_oracle(self, n, m, k, psi, mu):
+        rng = np.random.default_rng(n * 31 + m * 7 + k)
+        lin = linearize(random_instance(rng, n=n, m=m, k=k, psi=np.full(m, psi)))
+        prices = rng.uniform(0.0, 0.5, m)
+        f, g, h = _smoothed(prices, lin, mu)
+        f_ref, g_ref, h_ref = smoothed_by_resource(prices, lin, mu)
+        # g and h are differences of sums over requests; their scale is
+        # that of the sums
+        a_max = lin.a_tilde.max()
+        assert f == pytest.approx(f_ref, rel=1e-12)
+        np.testing.assert_allclose(g, g_ref, rtol=1e-12, atol=1e-12 * n * a_max)
+        np.testing.assert_allclose(h, h_ref, rtol=1e-12, atol=1e-12 * n * a_max ** 2 / mu)
+        assert np.array_equal(h, h.T)
+
+
+class TestSingleRequest:
+    @given(c=hst.floats(-5.0, 5.0), a_bar=hst.floats(0.0, 4.0),
+           k_diag=hst.floats(0.0, 4.0), psi=hst.floats(0.0, 3.0),
+           d=hst.floats(0.01, 5.0))
+    @example(c=1.5, a_bar=0.0, k_diag=0.0, psi=1.0, d=0.5)  # a_tilde = 0
+    @example(c=-1.0, a_bar=2.0, k_diag=1.0, psi=1.0, d=0.5)
+    @example(c=0.0, a_bar=1.0, k_diag=0.0, psi=0.0, d=2.0)
+    @example(c=2.0, a_bar=1.0, k_diag=1.0, psi=0.0, d=1.0)  # d = a_tilde
+    @settings(max_examples=60, deadline=None)
+    def test_value_is_the_fractional_optimum(self, c, a_bar, k_diag, psi, d):
+        # n = m = k = 1: take as much of the request as the budget allows
+        lin = linearize(Instance([[c]], [[[a_bar]]], [[[k_diag]]], [d], RiskSpec(psi=[psi])))
+        a_tilde = float(lin.a_tilde[0, 0, 0])
+        expected = max(c, 0.0) * (min(1.0, d / a_tilde) if a_tilde > 0 else 1.0)
+        tol = 1e-6
+        cert = minimize_dual(lin, tol=tol)
+        assert abs(cert.value - expected) <= tol * max(expected, 1.0)
 
 
 class TestWeakDuality:

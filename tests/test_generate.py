@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from socalloc import (ConfigError, DomainError, GeneratorConfig, generate,
-                      request_fields, stream_requests, validate_instance)
+from socalloc import (ConfigError, DomainError, GeneratorConfig, StructuralError,
+                      generate, request_fields, stream_requests, validate_instance)
 from socalloc.generate import CHUNK, RequestDraws
 
 from helpers import reference_request, reference_stream
@@ -225,6 +225,16 @@ class TestConfig:
         cfg = GeneratorConfig("uniform", n=5, m=3, k=2, d=(1.0, 2.0))
         with pytest.raises(ConfigError):
             generate(cfg)
+
+    def test_bad_config_fails_before_drawing(self, monkeypatch):
+        def fill(*args):
+            raise AssertionError("requests drawn before the config was checked")
+
+        monkeypatch.setattr(RequestDraws, "fill", fill)
+        with pytest.raises(ConfigError):
+            generate(GeneratorConfig("uniform", n=200000, m=3, k=2, d=(1.0, 2.0)))
+        with pytest.raises(StructuralError):
+            generate(GeneratorConfig("uniform", n=5, m=3, k=2, eta=(0.9, 0.9)))
 
     @pytest.mark.parametrize("d", [(1.0, 0.0), (-1.0, 1.0), (float("nan"), 1.0)])
     def test_budget_must_be_positive(self, d):

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from socalloc import (ConfigError, DomainError, Instance, RiskSpec, linearize,
-                      mean_excess, soc_lhs, to_soc)
+from socalloc import (ConfigError, DomainError, GeneratorConfig, Instance,
+                      LinearizedInstance, RiskSpec, generate, linearize, mean_excess,
+                      soc_lhs, to_soc)
 
 from helpers import (bisect_root, random_decisions, random_instance,
                      trace_by_recomputation)
@@ -107,6 +108,24 @@ class TestLinearize:
         inst = random_instance(np.random.default_rng(9), n=3)
         with pytest.raises(ConfigError):
             linearize(inst)
+
+    @pytest.mark.parametrize("experiment", ["uniform", "chi_square"])
+    def test_columns_resource_major_and_frozen(self, experiment):
+        inst = to_soc(generate(GeneratorConfig(experiment, n=37, m=3, k=4,
+                                               eta=(0.6, 0.8, 0.95), seed=5)))
+        lin = linearize(inst)
+        assert lin.columns.shape == (3, 37, 4)
+        assert lin.columns.flags.c_contiguous and lin.columns.flags.owndata
+        assert not lin.columns.flags.writeable and not lin.a_tilde.flags.writeable
+        assert np.shares_memory(lin.a_tilde, lin.columns)
+        psi = inst.risk.psi
+        expected = inst.a_bar + psi[:, None] / math.sqrt(inst.n) * np.sqrt(inst.k_diag)
+        assert np.array_equal(lin.a_tilde, expected)
+
+    def test_shape_mismatch_rejected(self):
+        inst = random_instance(np.random.default_rng(10), n=3, m=2, k=2, psi=np.ones(2))
+        with pytest.raises(ConfigError):
+            LinearizedInstance(inst, np.ones((3, 2, 2)))
 
 
 class TestRelaxationDirection:

@@ -6,11 +6,11 @@ Runs ``perfbench/run.py`` on every workload of ``BENCHMARK.json``, with
 ``--trace 0`` and then ``--trace 1``, at seed 7 for 30 s each, one run
 after another, and writes the last line each run prints (its JSON
 result), the git revision of the tree and the number of usable
-processors to ``BENCH_<label>.json`` at the repository root.  Run it on
-a clean tree, so that the revision names the code that was measured.  A
-run that exits nonzero (its stderr is printed), reports ``correct:
-false`` or counts failed operations stops the tool before any file is
-written.
+processors to ``BENCH_<label>.json`` at the repository root.  The
+revision must name the code that was measured, so a tree whose tracked
+files have uncommitted changes, before or after the runs, exits 1
+without writing a file.  So does a run that exits nonzero (its stderr
+is printed), reports ``correct: false`` or counts failed operations.
 """
 
 from __future__ import annotations
@@ -37,6 +37,15 @@ def main(argv=None) -> int:
         return subprocess.run(["git", *cmd], cwd=ROOT, capture_output=True, text=True,
                               check=True).stdout.strip()
 
+    def dirty() -> bool:
+        changes = git("status", "--porcelain", "--untracked-files=no")
+        if changes:
+            print(f"tracked files have uncommitted changes:\n{changes}\n"
+                  "commit them first; no file written", file=sys.stderr)
+        return bool(changes)
+
+    if dirty():
+        return 1
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in bench["workloads"]]
     runs = []
@@ -58,8 +67,9 @@ def main(argv=None) -> int:
                       f"failed={result['failed']}; no file written", file=sys.stderr)
                 return 1
             runs.append({"workload": workload, "trace": trace, "result": result})
-    doc = {"label": args.label, "revision": git("rev-parse", "HEAD"),
-           "clean": git("status", "--porcelain", "--untracked-files=no") == "",
+    if dirty():  # changed while the runs measured it
+        return 1
+    doc = {"label": args.label, "revision": git("rev-parse", "HEAD"), "clean": True,
            "nproc": len(os.sched_getaffinity(0)), "seed": SEED,
            "seconds": SECONDS, "runs": runs}
     path = ROOT / f"BENCH_{args.label}.json"
