@@ -46,6 +46,7 @@ def main(argv=None) -> int:
 
     if dirty():
         return 1
+    revision = git("rev-parse", "HEAD")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in bench["workloads"]]
     runs = []
@@ -69,7 +70,7 @@ def main(argv=None) -> int:
             runs.append({"workload": workload, "trace": trace, "result": result})
     if dirty():  # changed while the runs measured it
         return 1
-    doc = {"label": args.label, "revision": git("rev-parse", "HEAD"), "clean": True,
+    doc = {"label": args.label, "revision": revision, "clean": True,
            "nproc": len(os.sched_getaffinity(0)), "seed": SEED,
            "seconds": SECONDS, "runs": runs}
     path = ROOT / f"BENCH_{args.label}.json"
