@@ -71,11 +71,6 @@ def dual_value_and_subgradient(prices: np.ndarray,
     return float(prices @ b + best[t].sum()), b - lin.columns[:, t, choice[t]].sum(axis=1)
 
 
-def dual_value(prices: np.ndarray, lin: LinearizedInstance) -> float:
-    """Exact dual function value at ``prices`` (one pass over requests)."""
-    return dual_value_and_subgradient(prices, lin)[0]
-
-
 def _smoothed(prices: np.ndarray, lin: LinearizedInstance, mu: float):
     """f_mu, its gradient and its Hessian at ``prices``, in one pass whose
     temporaries are (n, k) or (m, CHUNK k).

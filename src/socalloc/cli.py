@@ -24,8 +24,7 @@ from .errors import ConvergenceError, SocAllocError
 from .experiment import ExperimentPlan, run_experiment
 from .generate import GeneratorConfig, generate, stream_requests
 from .metrics import build_report, csv_header, csv_row
-from .model import (Instance, RiskSpec, load_instance, load_trace,
-                    save_instance, save_trace, validate_instance)
+from .model import Instance, RiskSpec, load_instance, load_trace, save_instance, save_trace
 from .online import VARIANTS, OnlineSolver, VariantConfig
 from .transform import linearize, safety_coefficients, to_soc
 
@@ -134,7 +133,6 @@ def _cmd_generate(args) -> int:
     config = GeneratorConfig(
         experiment=_experiment_tag(args.experiment), n=args.n, m=args.m, k=args.k,
         d=args.d, eta=args.eta, gamma_tilde=args.gamma_tilde, seed=args.seed)
-    config.budget()  # rejects a nonpositive budget before writing
     if args.eta is not None or args.gamma_tilde is not None:
         safety_coefficients(config.risk())  # rejects a negative psi before writing
     if args.stream:
@@ -143,25 +141,13 @@ def _cmd_generate(args) -> int:
                               "k_diag": req.k_diag.tolist()}))
         return EXIT_OK
     instance = generate(config)
-    problems = validate_instance(instance)
-    if problems:
-        print("generated instance is invalid: " + "; ".join(problems), file=sys.stderr)
-        return EXIT_DATA
     save_instance(instance, args.out)
     print(f"wrote {args.out} (n={instance.n}, m={instance.m}, k={instance.k})")
     return EXIT_OK
 
 
-def _load_instance_checked(path: str) -> Instance:
-    instance = load_instance(path)
-    problems = validate_instance(instance)
-    if problems:
-        raise SocAllocError(f"{path}: " + "; ".join(problems))
-    return instance
-
-
 def _cmd_solve_online(args) -> int:
-    instance = to_soc(_load_instance_checked(args.instance))
+    instance = to_soc(load_instance(args.instance))
     lin = linearize(instance)
     solver = OnlineSolver(lin, VariantConfig(args.variant, args.seed),
                           record_steps=args.trace)
@@ -182,7 +168,7 @@ def _cmd_solve_online(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    instance = to_soc(_load_instance_checked(args.instance))
+    instance = to_soc(load_instance(args.instance))
     lin = linearize(instance)
     cert = minimize_dual(lin, tol=args.tol)
     Path(args.out).write_text(json.dumps(cert.to_dict()))
@@ -192,7 +178,7 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    instance = _load_instance_checked(args.instance)
+    instance = load_instance(args.instance)
     risk = instance.risk
     if args.eta is not None or args.gamma_tilde is not None:
         risk = RiskSpec(eta=args.eta if args.eta is not None else risk.eta,

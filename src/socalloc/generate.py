@@ -18,7 +18,8 @@ buffer and no half-used 32-bit word, the state a fresh Philox at that
 counter starts in.  A block of requests draws each request's raw
 variates into one row of a (T, k + 2mk) buffer, and the model's scales
 and squares are applied to the whole block at once; a ``custom``
-sampler is called once per request.
+sampler is called once per request, and its block is refused unless
+every coefficient is finite and every variance nonnegative.
 """
 
 from __future__ import annotations
@@ -44,7 +45,9 @@ class GeneratorConfig:
 
     ``experiment`` is one of ``uniform``, ``chi_square``, or ``custom``;
     the custom tag requires ``sampler``, a callable (rng, m, k) ->
-    (c, a_bar, k_diag) drawing one request.
+    (c, a_bar, k_diag) drawing one request.  Construction refuses a
+    ``d`` of the wrong length or with an entry that is not finite and
+    positive, and risk targets that are invalid or not one per resource.
     """
 
     experiment: str
@@ -65,22 +68,22 @@ class GeneratorConfig:
             raise ConfigError("custom experiment requires a sampler callable")
         if min(self.n, self.m, self.k) < 1:
             raise DomainError("n, m, k must all be at least 1")
-
-    def budget(self) -> np.ndarray:
-        if self.d is None:
-            return np.ones(self.m)
-        d = np.asarray(self.d, dtype=float)
+        d = self.budget()
         if d.shape != (self.m,):
             raise ConfigError(f"d must have {self.m} entries, got shape {d.shape}")
-        if not np.all(d > 0):
-            raise DomainError("budget must be positive in every resource")
-        return d
+        if not np.all(np.isfinite(d) & (d > 0)):
+            raise DomainError("budget must be positive and finite in every resource")
+        rm = self.risk().m
+        if rm not in (None, self.m):
+            raise StructuralError(f"risk spec has {rm} entries for {self.m} resources")
+
+    def budget(self) -> np.ndarray:
+        """The per-step budget d, all ones unless given."""
+        return np.ones(self.m) if self.d is None else np.asarray(self.d, dtype=float)
 
     def risk(self) -> RiskSpec:
-        risk = RiskSpec(eta=self.eta, gamma_tilde=self.gamma_tilde)
-        if risk.m not in (None, self.m):
-            raise StructuralError(f"risk spec has {risk.m} entries for {self.m} resources")
-        return risk
+        """The risk targets, without safety coefficients."""
+        return RiskSpec(eta=self.eta, gamma_tilde=self.gamma_tilde)
 
 
 class RequestDraws:
@@ -128,6 +131,11 @@ class RequestDraws:
         if self.experiment == "custom":
             for i in range(T):
                 c[i], a_bar[i], k_diag[i] = self.sampler(self._at(start + i), m, k)
+            if not (np.isfinite(c).all() and np.isfinite(a_bar).all()
+                    and np.isfinite(k_diag).all() and (k_diag >= 0).all()):
+                raise DomainError(f"the sampler drew coefficients that are not finite, "
+                                  f"or a negative variance, in requests {start} to "
+                                  f"{start + T - 1}")
             return
         # row i holds request start + i's variates in draw order: k for c,
         # then m*k for a_bar, then m*k for k_diag; a block is scaled at once
@@ -173,11 +181,10 @@ def generate(config: GeneratorConfig) -> Instance:
     instance adopts them without a copy.
     """
     n, m, k = config.n, config.m, config.k
-    budget, risk = config.budget(), config.risk()  # a bad config fails before drawing
     fields = np.empty((n, k)), np.empty((n, m, k)), np.empty((n, m, k))
     draws = RequestDraws(config)
     for start in range(0, n, CHUNK):
         draws.fill(start, *(field[start:start + CHUNK] for field in fields))
     for field in fields:
         field.setflags(write=False)
-    return Instance(*fields, budget, risk)
+    return Instance(*fields, config.budget(), config.risk())

@@ -1,7 +1,8 @@
 """Domain data model: requests, risk specifications, instances, traces.
 
-All arrays are float64 and frozen read-only at construction, so
-instances and traces can be shared freely across threads.  Scheme
+All arrays are float64 and frozen read-only at construction, and
+construction refuses data outside the model's domain: a
+:class:`RiskSpec` or :class:`Instance` that exists is valid.  Scheme
 indices are 0-based throughout; a decision is either ``None`` (request
 skipped) or an ``int`` in ``range(k)``.
 """
@@ -15,7 +16,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import ConfigError, StructuralError
+from .errors import ConfigError, DomainError, StructuralError
 from .gaussian import safety_coefficient
 
 Decision = Optional[int]
@@ -70,7 +71,9 @@ class RiskSpec:
     positive normalized conditional-expectation caps; either may be
     absent but downstream transforms require at least one.  ``psi`` is
     derived (see :func:`socalloc.transform.to_soc`) and stays ``None``
-    until then.
+    until then; given, it is finite, nonnegative and, with targets, the
+    coefficients they imply (to atol 1e-9).  Construction raises one
+    :class:`DomainError` naming every violation.
     """
 
     eta: np.ndarray | None = None
@@ -82,9 +85,26 @@ class RiskSpec:
             v = getattr(self, name)
             if v is not None:
                 object.__setattr__(self, name, _frozen(v))
-        lengths = {len(v) for v in (self.eta, self.gamma_tilde, self.psi) if v is not None}
+        eta, cap, psi = self.eta, self.gamma_tilde, self.psi
+        lengths = {len(v) for v in (eta, cap, psi) if v is not None}
         if len(lengths) > 1:
             raise StructuralError(f"risk spec entries differ in length: {sorted(lengths)}")
+        problems = []
+        if eta is not None and not np.all((eta > 0) & (eta < 1)):
+            problems.append("confidence levels must lie strictly inside (0, 1)")
+        if cap is not None and not np.all(np.isfinite(cap) & (cap > 0)):
+            problems.append("normalized caps must be finite and positive")
+        if psi is not None:
+            if not np.all(np.isfinite(psi) & (psi >= 0)):
+                problems.append("safety coefficients must be finite and nonnegative")
+            elif not problems and (eta is not None or cap is not None):
+                expect = [safety_coefficient(None if eta is None else float(eta[j]),
+                                             None if cap is None else float(cap[j]))
+                          for j in range(len(psi))]
+                if not np.allclose(psi, expect, atol=1e-9):
+                    problems.append("safety coefficients inconsistent with risk targets")
+        if problems:
+            raise DomainError("invalid risk spec: " + "; ".join(problems))
 
     @property
     def m(self) -> int | None:
@@ -100,7 +120,9 @@ class Instance:
 
     Request data is stored stacked: ``c`` is (n, k), ``a_bar`` and
     ``k_diag`` are (n, m, k).  ``d`` is the per-step budget; the total
-    budget is ``n * d``.
+    budget is ``n * d``.  Coefficients are finite, variances
+    nonnegative and ``d`` finite and positive; construction raises one
+    :class:`DomainError` naming every violation.
     """
 
     c: np.ndarray
@@ -124,6 +146,19 @@ class Instance:
         rm = self.risk.m
         if rm is not None and rm != m:
             raise StructuralError(f"risk spec has {rm} entries for {m} resources")
+        problems = []
+        if not np.all(np.isfinite(self.d) & (self.d > 0)):
+            problems.append("budget must be positive and finite in every resource")
+        if not np.isfinite(self.c).all():
+            problems.append("revenues must be finite")
+        if not np.isfinite(self.a_bar).all():
+            problems.append("mean consumptions must be finite")
+        if not np.isfinite(self.k_diag).all():
+            problems.append("variances must be finite")
+        if (self.k_diag < 0).any():
+            problems.append("variances must be nonnegative")
+        if problems:
+            raise DomainError("invalid instance: " + "; ".join(problems))
 
     @property
     def n(self) -> int:
@@ -204,48 +239,13 @@ def soc_lhs(trace: SolutionTrace, instance: Instance) -> np.ndarray:
     return trace.mean_consumption + instance.risk.psi * np.sqrt(trace.variance_accum)
 
 
-def validate_instance(instance: Instance) -> list[str]:
-    """Collect every invariant violation; an empty list means valid."""
-    problems: list[str] = []
-    if not np.all(instance.d > 0):
-        problems.append("budget must be positive in every resource")
-    if not np.all(np.isfinite(instance.c)):
-        problems.append("revenues must be finite")
-    if not np.all(np.isfinite(instance.a_bar)):
-        problems.append("mean consumptions must be finite")
-    if not np.all(np.isfinite(instance.k_diag)):
-        problems.append("variances must be finite")
-    if np.any(instance.k_diag < 0):
-        problems.append("variance must be nonnegative")
-    risk = instance.risk
-    if risk.eta is not None and not np.all((risk.eta > 0) & (risk.eta < 1)):
-        problems.append("confidence levels must lie strictly inside (0, 1)")
-    if risk.gamma_tilde is not None and not np.all(risk.gamma_tilde > 0):
-        problems.append("normalized caps must be positive")
-    if risk.psi is not None:
-        if np.any(risk.psi < 0):
-            problems.append("safety coefficients must be nonnegative")
-        elif risk.eta is not None or risk.gamma_tilde is not None:
-            try:
-                expect = np.array([
-                    safety_coefficient(
-                        None if risk.eta is None else float(risk.eta[j]),
-                        None if risk.gamma_tilde is None else float(risk.gamma_tilde[j]))
-                    for j in range(instance.m)])
-            except (ValueError, ConfigError):
-                expect = None
-            if expect is not None and not np.allclose(risk.psi, expect, atol=1e-9):
-                problems.append("safety coefficients inconsistent with risk targets")
-    return problems
-
-
 # ---------------------------------------------------------------------------
 # JSON serialization.  Python's json writes floats with repr(), which is the
 # shortest string that parses back to the identical double, so round trips
 # are lossless.
 # ---------------------------------------------------------------------------
 
-def instance_to_dict(instance: Instance) -> dict:
+def _instance_to_dict(instance: Instance) -> dict:
     risk: dict = {}
     if instance.risk.eta is not None:
         risk["eta"] = instance.risk.eta.tolist()
@@ -268,7 +268,7 @@ def instance_to_dict(instance: Instance) -> dict:
     }
 
 
-def instance_from_dict(doc: dict) -> Instance:
+def _instance_from_dict(doc: dict) -> Instance:
     risk_doc = doc.get("risk") or {}
     risk = RiskSpec(
         eta=risk_doc.get("eta"),
@@ -289,14 +289,14 @@ def instance_from_dict(doc: dict) -> Instance:
 
 
 def save_instance(instance: Instance, path) -> None:
-    Path(path).write_text(json.dumps(instance_to_dict(instance)))
+    Path(path).write_text(json.dumps(_instance_to_dict(instance)))
 
 
 def load_instance(path) -> Instance:
-    return instance_from_dict(json.loads(Path(path).read_text()))
+    return _instance_from_dict(json.loads(Path(path).read_text()))
 
 
-def trace_to_dict(trace: SolutionTrace) -> dict:
+def _trace_to_dict(trace: SolutionTrace) -> dict:
     return {
         "decisions": [d if d is None else int(d) for d in trace.decisions],
         "objective": trace.objective,
@@ -306,7 +306,7 @@ def trace_to_dict(trace: SolutionTrace) -> dict:
     }
 
 
-def trace_from_dict(doc: dict) -> SolutionTrace:
+def _trace_from_dict(doc: dict) -> SolutionTrace:
     return SolutionTrace(
         decisions=tuple(doc["decisions"]),
         objective=float(doc["objective"]),
@@ -317,8 +317,8 @@ def trace_from_dict(doc: dict) -> SolutionTrace:
 
 
 def save_trace(trace: SolutionTrace, path) -> None:
-    Path(path).write_text(json.dumps(trace_to_dict(trace)))
+    Path(path).write_text(json.dumps(_trace_to_dict(trace)))
 
 
 def load_trace(path) -> SolutionTrace:
-    return trace_from_dict(json.loads(Path(path).read_text()))
+    return _trace_from_dict(json.loads(Path(path).read_text()))

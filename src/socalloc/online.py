@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, StructuralError
+from .errors import ConfigError, StructuralError
 from .model import Decision, Instance, SolutionTrace
 from .transform import LinearizedInstance
 
@@ -90,8 +90,6 @@ class InstanceBlocks:
 
     def __init__(self, lins):
         base = lins[0].base
-        if base.risk.psi is None:
-            raise ConfigError("instance has no safety coefficients; apply to_soc first")
         for lin in lins:
             inst = lin.base
             if (inst.a_bar.shape != base.a_bar.shape or not np.array_equal(inst.d, base.d)
@@ -129,7 +127,9 @@ class Lanes:
 
     Every operation is elementwise per lane or a per-lane product, so a
     lane's arithmetic, and with it its trace, does not depend on the
-    other lanes.  Coefficients must be finite.
+    other lanes.  Coefficients must be finite and variances nonnegative,
+    as those of an :class:`~socalloc.model.Instance` and of the
+    generator are; they are not checked here.
     """
 
     def __init__(self, source, lanes, record_steps: bool = False):
@@ -199,9 +199,6 @@ class Lanes:
         if not 0 < steps <= self.block or t0 + steps > n:
             raise StructuralError(f"cannot take {steps} steps at step {t0} of {n}")
         c, a_bar, k_diag, a_tilde = self.source(t0, t0 + steps)
-        if not (np.isfinite(c).all() and np.isfinite(a_tilde).all()):
-            raise DomainError(f"requests {t0} to {t0 + steps - 1} have coefficients "
-                              f"that are not finite (or a negative variance)")
         rows = self._rows
         B = len(rows)
         C, E, P, D, AK = (self._columns, self._margins, self._prices, self._picks,
@@ -329,7 +326,6 @@ class OnlineSolver:
     def __init__(self, lin: LinearizedInstance,
                  config: VariantConfig = VariantConfig(),
                  record_steps: bool = False):
-        self.instance = lin.base
         self.lin = lin
         self.config = config
         self.lanes = Lanes(InstanceBlocks([lin]), [(0, config)], record_steps)
@@ -343,8 +339,6 @@ class OnlineSolver:
         return None if self.lanes.steps is None else self.lanes.steps[0]
 
     def step(self) -> Decision:
-        if self.lanes.t >= self.instance.n:
-            raise StructuralError("all requests already processed")
         pick = int(self.lanes.advance(1)[0, 0])
         return None if pick == 0 else pick - 1
 

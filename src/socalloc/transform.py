@@ -19,32 +19,37 @@ solution feasible in cone form stays feasible for the linear columns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
 from .gaussian import safety_coefficient
-from .model import Instance, RiskSpec, _frozen
+from .model import Instance, RiskSpec
 
 
 @dataclass(frozen=True)
 class LinearizedInstance:
     """An instance together with its per-request pricing columns.
 
-    ``columns`` holds them resource-major: a read-only, C-contiguous
-    (m, n, k) array, so ``columns.reshape(m, n * k)`` is one matrix
-    without a copy.  ``a_tilde`` is its (n, m, k) transposed view.
+    Construction refuses a base without psi (see :func:`to_soc`) and
+    writes the columns once, resource-major: ``columns`` is a read-only,
+    C-contiguous (m, n, k) array, so ``columns.reshape(m, n * k)`` is one
+    matrix without a copy.  ``a_tilde`` is its (n, m, k) transposed view.
     """
 
     base: Instance
-    columns: np.ndarray  # (m, n, k)
+    columns: np.ndarray = field(init=False, repr=False)  # (m, n, k)
 
     def __post_init__(self):
-        object.__setattr__(self, "columns", _frozen(np.ascontiguousarray(self.columns)))
-        n, m, k = self.base.a_bar.shape
-        if self.columns.shape != (m, n, k):
-            raise ConfigError("linear columns do not match the instance's shape")
+        base, psi = self.base, self.base.risk.psi
+        if psi is None:
+            raise ConfigError("instance has no safety coefficients; apply to_soc first")
+        n, m, k = base.a_bar.shape
+        columns = np.empty((m, n, k))
+        linear_columns(base.a_bar, base.k_diag, psi, n, out=columns.transpose(1, 0, 2))
+        columns.setflags(write=False)
+        object.__setattr__(self, "columns", columns)
 
     @property
     def a_tilde(self) -> np.ndarray:
@@ -102,17 +107,9 @@ def linear_columns(a_bar: np.ndarray, k_diag: np.ndarray, psi: np.ndarray,
 
 
 def linearize(instance: Instance) -> LinearizedInstance:
-    """Build the per-request linear columns a_tilde, written once into
-    their resource-major array.
+    """Build the per-request linear columns a_tilde of ``instance``.
 
     Requires psi (see :func:`to_soc`); with psi = 0 the columns reduce
     to the plain means.
     """
-    psi = instance.risk.psi
-    if psi is None:
-        raise ConfigError("instance has no safety coefficients; apply to_soc first")
-    n, m, k = instance.a_bar.shape
-    columns = np.empty((m, n, k))
-    linear_columns(instance.a_bar, instance.k_diag, psi, n, out=columns.transpose(1, 0, 2))
-    columns.setflags(write=False)
-    return LinearizedInstance(instance, columns)
+    return LinearizedInstance(instance)

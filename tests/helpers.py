@@ -102,6 +102,12 @@ def projected_step(prices, consumption, target, step: float) -> np.ndarray:
                      for p, c, d in zip(prices, consumption, target)])
 
 
+def dual_value(prices, lin) -> float:
+    """Exact dual function value at ``prices`` (one pass over requests)."""
+    from socalloc import dual_value_and_subgradient
+    return dual_value_and_subgradient(prices, lin)[0]
+
+
 def greedy_primal(lin) -> tuple[list, float]:
     """Feasibility-preserving greedy pass over the linearized problem.
 

@@ -28,12 +28,12 @@ import numpy as np
 import pytest
 
 from socalloc import (DomainError, ExperimentPlan, GeneratorConfig,
-                      Instance, RiskSpec, VariantConfig, dual_value, generate,
-                      linearize, mean_excess, mean_excess_inverse,
-                      minimize_dual, run_online, safety_coefficient,
-                      scaling_slope, soc_lhs, std_normal_cdf,
-                      std_normal_quantile, to_soc)
-from helpers import (forced_run, random_decisions, random_instance,
+                      Instance, RiskSpec, VariantConfig, generate,
+                      linearize, mean_excess, minimize_dual, run_online,
+                      safety_coefficient, scaling_slope, soc_lhs,
+                      std_normal_cdf, to_soc)
+from socalloc.gaussian import mean_excess_inverse, std_normal_quantile
+from helpers import (dual_value, forced_run, random_decisions, random_instance,
                      trace_by_recomputation)
 
 ETA_GRID = (0.65, 0.75, 0.85, 0.95)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from socalloc import (ConvergenceError, DomainError, DualCertificate,
-                      GeneratorConfig, Instance, RiskSpec, dual_value,
+                      GeneratorConfig, Instance, RiskSpec,
                       dual_value_and_subgradient, generate, linearize,
                       minimize_dual, soc_lhs, to_soc)
 
@@ -16,8 +16,8 @@ from hypothesis import strategies as hst
 
 from socalloc.baseline import CHUNK, _smoothed
 
-from helpers import (greedy_primal, random_instance, smoothed_by_resource,
-                     trace_by_recomputation)
+from helpers import (dual_value, greedy_primal, random_instance,
+                     smoothed_by_resource, trace_by_recomputation)
 
 
 def toy_m1():

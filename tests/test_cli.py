@@ -114,6 +114,49 @@ class TestExitCodes:
         assert "another plan" in capsys.readouterr().err
 
 
+def _zero_budget(doc):
+    doc["d"][1] = 0.0
+
+
+def _negative_variance(doc):
+    doc["requests"][3]["k_diag"][0][1] = -0.25
+
+
+def _nan_revenue(doc):
+    doc["requests"][2]["c"][0] = float("nan")  # written as the literal NaN
+
+
+def _eta_out_of_range(doc):
+    doc["risk"]["eta"][0] = 1.5
+
+
+def _psi_inconsistent_with_eta(doc):
+    doc["risk"]["psi"] = [9.0, 9.0]
+
+
+class TestBadInstanceFile:
+    """A well-formed instance file with values outside the model's domain
+    is a data error for every command that reads one."""
+
+    @pytest.mark.parametrize("command", ["solve-online", "baseline", "evaluate"])
+    @pytest.mark.parametrize("corrupt", [_zero_budget, _negative_variance, _nan_revenue,
+                                         _eta_out_of_range, _psi_inconsistent_with_eta])
+    def test_exits_2(self, tmp_path, capsys, command, corrupt):
+        assert run(tmp_path, "generate", "--experiment", "uniform", "--n", "10",
+                   "--m", "2", "--k", "3", "--eta", "0.9,0.8", "--seed", "4") == 0
+        assert run(tmp_path, "solve-online", "--instance", "instance.json") == 0
+        doc = json.loads((tmp_path / "instance.json").read_text())
+        corrupt(doc)
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        argv = [command, "--instance", "bad.json", "--out", "out.file"]
+        if command == "evaluate":
+            argv += ["--trace", "trace.json"]
+        capsys.readouterr()
+        assert run(tmp_path, *argv) == 2
+        assert "data error" in capsys.readouterr().err
+        assert not (tmp_path / "out.file").exists()
+
+
 class TestPipeline:
     def test_generate_solve_baseline_evaluate(self, tmp_path, capsys):
         assert run(tmp_path, "generate", "--experiment", "uniform",

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from socalloc import (MEAN_EXCESS_AT_ZERO, ConfigError, DomainError,
-                      mean_excess, mean_excess_inverse, safety_coefficient,
-                      std_normal_cdf, std_normal_quantile, std_normal_sf)
+from socalloc import (ConfigError, DomainError, mean_excess, safety_coefficient,
+                      std_normal_cdf)
+from socalloc.gaussian import (MEAN_EXCESS_AT_ZERO, mean_excess_inverse,
+                               std_normal_quantile, std_normal_sf)
 
 from helpers import bisect_root, cdf_by_quadrature, mean_excess_by_formula
 

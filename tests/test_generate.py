@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from socalloc import (ConfigError, DomainError, GeneratorConfig, StructuralError,
-                      generate, request_fields, stream_requests, validate_instance)
+from socalloc import (ConfigError, DomainError, ExperimentPlan, GeneratorConfig,
+                      StructuralError, generate, request_fields, run_trial,
+                      stream_requests, to_soc)
 from socalloc.generate import CHUNK, RequestDraws
 
 from helpers import reference_request, reference_stream
@@ -175,7 +176,7 @@ class TestUniformModel:
     def test_generated_instance_validates(self):
         inst = generate(GeneratorConfig("uniform", n=50, m=4, k=5,
                                         eta=(0.65, 0.75, 0.85, 0.95), seed=4))
-        assert validate_instance(inst) == []
+        assert to_soc(inst).risk.psi is not None
 
 
 class TestChiSquareModel:
@@ -222,9 +223,8 @@ class TestConfig:
             GeneratorConfig("uniform", n=0, m=2, k=2)
 
     def test_budget_length_checked(self):
-        cfg = GeneratorConfig("uniform", n=5, m=3, k=2, d=(1.0, 2.0))
         with pytest.raises(ConfigError):
-            generate(cfg)
+            GeneratorConfig("uniform", n=5, m=3, k=2, d=(1.0, 2.0))
 
     def test_bad_config_fails_before_drawing(self, monkeypatch):
         def fill(*args):
@@ -238,8 +238,36 @@ class TestConfig:
 
     @pytest.mark.parametrize("d", [(1.0, 0.0), (-1.0, 1.0), (float("nan"), 1.0)])
     def test_budget_must_be_positive(self, d):
-        cfg = GeneratorConfig("uniform", n=5, m=2, k=2, d=d)
         with pytest.raises(DomainError):
-            cfg.budget()
-        with pytest.raises(DomainError):
-            generate(cfg)
+            GeneratorConfig("uniform", n=5, m=2, k=2, d=d)
+
+
+class TestCustomSamplerChecked:
+    # a custom sampler is the generator's one input from outside the
+    # program, so its draws are checked where they are written
+    @staticmethod
+    def nan_revenue(rng, m, k):
+        c = rng.random(k)
+        c[-1] = np.nan
+        return c, rng.random((m, k)), rng.random((m, k))
+
+    @staticmethod
+    def negative_variance(rng, m, k):
+        return rng.random(k), rng.random((m, k)), -rng.random((m, k))
+
+    def config(self, sampler):
+        return GeneratorConfig("custom", n=300, m=2, k=3, eta=(0.9, 0.8), seed=5,
+                               sampler=sampler)
+
+    @pytest.mark.parametrize("sampler", ["nan_revenue", "negative_variance"])
+    def test_generate_refuses(self, sampler):
+        with pytest.raises(DomainError, match="sampler"):
+            generate(self.config(getattr(self, sampler)))
+
+    @pytest.mark.parametrize("compute_baseline", [True, False])
+    @pytest.mark.parametrize("sampler", ["nan_revenue", "negative_variance"])
+    def test_run_trial_refuses(self, sampler, compute_baseline):
+        plan = ExperimentPlan(self.config(getattr(self, sampler)), n_grid=(300,),
+                              trials=2, compute_baseline=compute_baseline)
+        with pytest.raises(DomainError, match="sampler"):
+            run_trial(plan, 300, range(2))

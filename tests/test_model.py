@@ -1,14 +1,20 @@
 """Data model: construction, invariants, cone usage, serialization."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+from hypothesis.extra.numpy import arrays
 
-from socalloc import (ConfigError, GeneratorConfig, Instance, Request, RiskSpec,
-                      SolutionTrace, StructuralError, generate, instance_from_dict,
-                      instance_to_dict, soc_lhs, to_soc, trace_from_dict,
-                      trace_to_dict, validate_instance)
+from socalloc import (ConfigError, DomainError, GeneratorConfig, Instance, Request,
+                      RiskSpec, SolutionTrace, StructuralError, generate, load_instance,
+                      load_trace, save_instance, save_trace, soc_lhs, to_soc)
+from socalloc.model import (_instance_from_dict, _instance_to_dict, _trace_from_dict,
+                            _trace_to_dict)
 
 from helpers import random_decisions, random_instance, trace_by_recomputation
 
@@ -156,34 +162,58 @@ class TestValidate:
     def test_well_formed_instance_is_ok(self):
         inst = random_instance(np.random.default_rng(10), n=20,
                                eta=(0.65, 0.75, 0.85, 0.95))
-        assert validate_instance(inst) == []
+        assert to_soc(inst).risk.psi is not None
 
     def test_zero_budget_flagged(self):
         inst = random_instance(np.random.default_rng(11), n=5)
-        bad = Instance(inst.c, inst.a_bar, inst.k_diag,
-                       np.array([1.0, 1.0, 0.0, 1.0]), inst.risk)
-        assert any("budget" in p for p in validate_instance(bad))
+        with pytest.raises(DomainError, match="budget"):
+            Instance(inst.c, inst.a_bar, inst.k_diag,
+                     np.array([1.0, 1.0, 0.0, 1.0]), inst.risk)
 
     def test_negative_variance_flagged(self):
         inst = random_instance(np.random.default_rng(12), n=5)
         k_diag = inst.k_diag.copy()
         k_diag[0, 0, 0] = -0.1
-        bad = Instance(inst.c, inst.a_bar, k_diag, inst.d, inst.risk)
-        assert any("variance" in p for p in validate_instance(bad))
+        with pytest.raises(DomainError, match="variance"):
+            Instance(inst.c, inst.a_bar, k_diag, inst.d, inst.risk)
 
     def test_collects_every_violation(self):
         inst = random_instance(np.random.default_rng(13), n=5)
         k_diag = inst.k_diag.copy()
         k_diag[0, 0, 0] = -0.1
-        bad = Instance(inst.c, inst.a_bar, k_diag, np.zeros(4),
-                       RiskSpec(eta=[1.5, 0.5, 0.5, 0.5]))
-        assert len(validate_instance(bad)) >= 3
+        with pytest.raises(DomainError) as err:
+            Instance(inst.c, inst.a_bar, k_diag, np.zeros(4), inst.risk)
+        assert "variance" in str(err.value) and "budget" in str(err.value)
 
     def test_inconsistent_psi_flagged(self):
-        inst = random_instance(np.random.default_rng(14), n=5,
-                               eta=(0.65, 0.75, 0.85, 0.95),
-                               psi=np.ones(4) * 9.0)
-        assert any("inconsistent" in p for p in validate_instance(inst))
+        with pytest.raises(DomainError, match="inconsistent"):
+            random_instance(np.random.default_rng(14), n=5,
+                            eta=(0.65, 0.75, 0.85, 0.95), psi=np.ones(4) * 9.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("c", np.nan), ("c", -np.inf), ("a_bar", np.inf), ("k_diag", np.nan),
+        ("k_diag", np.inf)])
+    def test_nonfinite_coefficient_flagged(self, field, value):
+        inst = random_instance(np.random.default_rng(15), n=5)
+        arrays = {"c": inst.c.copy(), "a_bar": inst.a_bar.copy(),
+                  "k_diag": inst.k_diag.copy()}
+        arrays[field].flat[3] = value
+        with pytest.raises(DomainError, match="finite"):
+            Instance(arrays["c"], arrays["a_bar"], arrays["k_diag"], inst.d)
+
+    @pytest.mark.parametrize("risk", [
+        {"eta": (1.5,)}, {"eta": (0.0,)}, {"eta": (np.nan,)},
+        {"gamma_tilde": (0.0,)}, {"gamma_tilde": (np.inf,)},
+        {"psi": (-0.5,)}, {"psi": (np.nan,)}, {"eta": (0.9,), "psi": (1.0,)}])
+    def test_risk_spec_refused_at_construction(self, risk):
+        with pytest.raises(DomainError):
+            RiskSpec(**risk)
+
+    def test_risk_spec_names_every_violation(self):
+        with pytest.raises(DomainError) as err:
+            RiskSpec(eta=(1.5,), gamma_tilde=(-1.0,), psi=(-2.0,))
+        message = str(err.value)
+        assert all(word in message for word in ("confidence", "caps", "safety"))
 
 
 class TestSerialization:
@@ -191,8 +221,8 @@ class TestSerialization:
         rng = np.random.default_rng(15)
         inst = random_instance(rng, n=12, eta=(0.65, 0.75, 0.85, 0.95),
                                gamma_tilde=(0.2, 0.3, 0.4, 0.5))
-        doc = json.loads(json.dumps(instance_to_dict(inst)))
-        back = instance_from_dict(doc)
+        doc = json.loads(json.dumps(_instance_to_dict(inst)))
+        back = _instance_from_dict(doc)
         assert np.array_equal(back.c, inst.c)
         assert np.array_equal(back.a_bar, inst.a_bar)
         assert np.array_equal(back.k_diag, inst.k_diag)
@@ -202,18 +232,102 @@ class TestSerialization:
 
     def test_declared_counts_verified(self):
         inst = random_instance(np.random.default_rng(16), n=4)
-        doc = instance_to_dict(inst)
+        doc = _instance_to_dict(inst)
         doc["n"] = 7
         with pytest.raises(StructuralError):
-            instance_from_dict(doc)
+            _instance_from_dict(doc)
 
     def test_trace_json_round_trip(self):
         rng = np.random.default_rng(17)
         inst = random_instance(rng, n=9)
         decisions = random_decisions(rng, 9, inst.k)
         trace = trace_by_recomputation(inst, decisions)
-        back = trace_from_dict(json.loads(json.dumps(trace_to_dict(trace))))
+        back = _trace_from_dict(json.loads(json.dumps(_trace_to_dict(trace))))
         assert back.decisions == trace.decisions
         assert back.objective == trace.objective
         assert np.array_equal(back.mean_consumption, trace.mean_consumption)
         assert np.array_equal(back.variance_accum, trace.variance_accum)
+
+
+#: Finite doubles at the edges of the format: subnormals, the largest
+#: magnitudes, signed zeros, and heavy chi-square tails (a chi2 draw with
+#: half a degree of freedom to the 8th power spans hundreds of decades).
+EDGE_FLOATS = hst.one_of(
+    hst.floats(allow_nan=False, allow_infinity=False),
+    hst.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                      1.7976931348623157e308, 0.0, -0.0]),
+    hst.integers(0, 2 ** 32 - 1).map(
+        lambda seed: float(np.random.default_rng(seed).chisquare(0.5) ** 8)),
+)
+NONNEGATIVE = EDGE_FLOATS.map(abs)  # zero variances included
+
+
+@hst.composite
+def edge_instances(draw):
+    n, m, k = draw(hst.integers(1, 4)), draw(hst.integers(1, 3)), draw(hst.integers(1, 3))
+    risk = draw(hst.sampled_from(["none", "eta", "psi"]))
+    if risk == "eta":
+        spec = RiskSpec(eta=draw(arrays(np.float64, m, elements=hst.floats(
+            0, 1, exclude_min=True, exclude_max=True))))
+    elif risk == "psi":
+        spec = RiskSpec(psi=draw(arrays(np.float64, m, elements=NONNEGATIVE)))
+    else:
+        spec = RiskSpec()
+    return Instance(draw(arrays(np.float64, (n, k), elements=EDGE_FLOATS)),
+                    draw(arrays(np.float64, (n, m, k), elements=EDGE_FLOATS)),
+                    draw(arrays(np.float64, (n, m, k), elements=NONNEGATIVE)),
+                    draw(arrays(np.float64, m, elements=NONNEGATIVE.filter(lambda x: x > 0))),
+                    spec)
+
+
+@hst.composite
+def edge_traces(draw):
+    m = draw(hst.integers(1, 3))
+    return SolutionTrace(
+        decisions=draw(hst.lists(hst.one_of(hst.none(), hst.integers(0, 4)), max_size=6)),
+        objective=draw(EDGE_FLOATS),
+        mean_consumption=draw(arrays(np.float64, m, elements=EDGE_FLOATS)),
+        variance_accum=draw(arrays(np.float64, m, elements=NONNEGATIVE)),
+        max_dual_inf=draw(NONNEGATIVE))
+
+
+def same_bits(a, b) -> bool:
+    if a is None or b is None:
+        return a is None and b is None
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestFileRoundTrip:
+    @settings(max_examples=80, deadline=None)
+    @given(inst=edge_instances(), trace=edge_traces())
+    def test_save_load_is_bit_exact(self, inst, trace):
+        with tempfile.TemporaryDirectory() as tmp:
+            save_instance(inst, Path(tmp) / "instance.json")
+            save_trace(trace, Path(tmp) / "trace.json")
+            inst_back = load_instance(Path(tmp) / "instance.json")
+            trace_back = load_trace(Path(tmp) / "trace.json")
+        for name in ("c", "a_bar", "k_diag", "d"):
+            assert same_bits(getattr(inst_back, name), getattr(inst, name)), name
+        for name in ("eta", "gamma_tilde", "psi"):
+            assert same_bits(getattr(inst_back.risk, name), getattr(inst.risk, name)), name
+        assert trace_back.decisions == trace.decisions
+        for name in ("objective", "mean_consumption", "variance_accum", "max_dual_inf"):
+            assert same_bits(getattr(trace_back, name), getattr(trace, name)), name
+
+    @settings(max_examples=60, deadline=None)
+    @given(inst=edge_instances(), field=hst.sampled_from(["c", "a_bar", "k_diag"]),
+           value=hst.sampled_from([float("nan"), float("inf"), float("-inf")]),
+           data=hst.data())
+    def test_nonfinite_coefficient_refused_on_load(self, inst, field, value, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "instance.json"
+            save_instance(inst, path)
+            doc = json.loads(path.read_text())
+            entry = doc["requests"][data.draw(hst.integers(0, inst.n - 1))][field]
+            if field != "c":
+                entry = entry[data.draw(hst.integers(0, inst.m - 1))]
+            entry[data.draw(hst.integers(0, inst.k - 1))] = value
+            path.write_text(json.dumps(doc))  # NaN, Infinity, -Infinity literals
+            with pytest.raises(DomainError):
+                load_instance(path)

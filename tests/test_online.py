@@ -450,9 +450,8 @@ class TestLanes:
         inst = random_instance(rng, n=20, psi=np.ones(4))
         c = inst.c.copy()
         c[7, 2] = np.nan
-        bad = Instance(c, inst.a_bar, inst.k_diag, inst.d, inst.risk)
         with pytest.raises(DomainError):
-            run_online(bad, linearize(bad))
+            Instance(c, inst.a_bar, inst.k_diag, inst.d, inst.risk)
 
 
 class TestProperties:

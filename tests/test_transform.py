@@ -108,6 +108,8 @@ class TestLinearize:
         inst = random_instance(np.random.default_rng(9), n=3)
         with pytest.raises(ConfigError):
             linearize(inst)
+        with pytest.raises(ConfigError):
+            LinearizedInstance(inst)
 
     @pytest.mark.parametrize("experiment", ["uniform", "chi_square"])
     def test_columns_resource_major_and_frozen(self, experiment):
@@ -121,11 +123,6 @@ class TestLinearize:
         psi = inst.risk.psi
         expected = inst.a_bar + psi[:, None] / math.sqrt(inst.n) * np.sqrt(inst.k_diag)
         assert np.array_equal(lin.a_tilde, expected)
-
-    def test_shape_mismatch_rejected(self):
-        inst = random_instance(np.random.default_rng(10), n=3, m=2, k=2, psi=np.ones(2))
-        with pytest.raises(ConfigError):
-            LinearizedInstance(inst, np.ones((3, 2, 2)))
 
 
 class TestRelaxationDirection:
