@@ -16,7 +16,7 @@ from .generate import GeneratorConfig, generate, request_fields, stream_requests
 from .metrics import (MetricsReport, aggregate, build_report, ce_violation,
                       optimality_gap_and_ratio, probability_deviation,
                       scaling_slope, soc_violation)
-from .model import (Decision, Instance, Request, RiskSpec, SolutionTrace,
+from .model import (Decision, Instance, RiskSpec, SolutionTrace,
                     load_instance, load_trace, save_instance, save_trace, soc_lhs)
 from .online import VARIANTS, OnlineSolver, VariantConfig, run_online
 from .transform import LinearizedInstance, linearize, to_soc
@@ -27,7 +27,7 @@ __all__ = [
     "ConfigError", "ConvergenceError", "Decision", "DomainError",
     "DualCertificate", "ExperimentPlan", "GeneratorConfig",
     "Instance", "LinearizedInstance", "MetricsReport",
-    "OnlineSolver", "Request", "RiskSpec", "SocAllocError", "SolutionTrace",
+    "OnlineSolver", "RiskSpec", "SocAllocError", "SolutionTrace",
     "StructuralError", "VARIANTS", "VariantConfig", "aggregate",
     "build_report", "ce_violation", "dual_value_and_subgradient", "generate",
     "linearize", "load_instance", "load_trace", "mean_excess",

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .baseline import DualCertificate, minimize_dual
-from .errors import ConvergenceError, SocAllocError
+from .errors import ConvergenceError, DomainError, SocAllocError
 from .experiment import ExperimentPlan, run_experiment
 from .generate import GeneratorConfig, generate, stream_requests
 from .metrics import build_report, csv_header, csv_row
@@ -136,9 +136,9 @@ def _cmd_generate(args) -> int:
     if args.eta is not None or args.gamma_tilde is not None:
         safety_coefficients(config.risk())  # rejects a negative psi before writing
     if args.stream:
-        for t, req in enumerate(stream_requests(config)):
-            print(json.dumps({"t": t, "c": req.c.tolist(), "a_bar": req.a_bar.tolist(),
-                              "k_diag": req.k_diag.tolist()}))
+        for t, (c, a_bar, k_diag) in enumerate(stream_requests(config)):
+            print(json.dumps({"t": t, "c": c.tolist(), "a_bar": a_bar.tolist(),
+                              "k_diag": k_diag.tolist()}))
         return EXIT_OK
     instance = generate(config)
     save_instance(instance, args.out)
@@ -177,6 +177,21 @@ def _cmd_baseline(args) -> int:
     return EXIT_OK
 
 
+def _load_certificate(path) -> DualCertificate:
+    """A certificate file; one DomainError names every field out of its domain."""
+    cert = DualCertificate.from_dict(json.loads(Path(path).read_text()))
+    problems = [text for text, ok in (
+        ("value must be finite", math.isfinite(cert.value)),
+        ("prices must be finite and nonnegative",
+         all(math.isfinite(p) and p >= 0 for p in cert.p_star.flat)),
+        ("iterations must be nonnegative", cert.iterations >= 0),
+        ("gap must be finite and nonnegative", math.isfinite(cert.gap) and cert.gap >= 0),
+    ) if not ok]
+    if problems:
+        raise DomainError("invalid certificate: " + "; ".join(problems))
+    return cert
+
+
 def _cmd_evaluate(args) -> int:
     instance = load_instance(args.instance)
     risk = instance.risk
@@ -192,9 +207,13 @@ def _cmd_evaluate(args) -> int:
             "pass --eta and/or --gamma-tilde")
     instance = to_soc(instance)
     trace = load_trace(args.trace)
+    if len(trace.decisions) != instance.n or not all(
+            d is None or (type(d) is int and 0 <= d < instance.k) for d in trace.decisions):
+        raise DomainError(f"trace does not fit the instance: it needs {instance.n} "
+                          f"decisions, each null or an int in range({instance.k})")
     baseline = None
     if args.baseline is not None:
-        baseline = DualCertificate.from_dict(json.loads(Path(args.baseline).read_text()))
+        baseline = _load_certificate(args.baseline)
     report = build_report(instance, trace, baseline)
     with Path(args.out).open("w") as fh:
         fh.write(csv_header(instance.m))

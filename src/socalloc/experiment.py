@@ -9,11 +9,11 @@ another: the trials x variants of an n are the lanes of one
 call per step.  The lanes draw their requests from the generator block
 by block, so no instance is held while they run; with baselines each
 trial's instance is generated and certified first, one at a time, and
-only its certificate is kept.  Each cell writes its own part file and the parts are
-merged at the end, keyed by (n, trial), so reruns produce byte-identical
-reports.  Runs of the same plan with different n-grids or trial counts
-may share an output directory and union there; a fingerprint file in
-``parts/`` refuses any other plan.
+only its certificate is kept.  Each cell writes one part file, the one
+record of its results; all three report files are built from every part
+present, in (n, trial) order, so reruns are byte-identical and runs of
+one plan over other n-grids or trial counts union in a shared output
+directory.  A fingerprint in ``parts/`` refuses any other plan or format.
 """
 
 from __future__ import annotations
@@ -156,7 +156,9 @@ def _scaling_summary(per_variant_by_n: dict) -> dict:
 
 
 def _plan_fingerprint(plan: ExperimentPlan) -> dict:
-    """What makes two runs' rows comparable: everything but the grid."""
+    """What makes two runs' rows comparable: everything but the grid, and
+    the format of the part files, so that parts of another format are
+    refused rather than half-merged."""
     gen = plan.generator
 
     def floats(values):
@@ -168,7 +170,7 @@ def _plan_fingerprint(plan: ExperimentPlan) -> dict:
         "gamma_tilde": floats(gen.gamma_tilde),
         "variants": [v.variant for v in plan.variants],
         "master_seed": int(plan.master_seed), "tol": float(plan.tol),
-        "compute_baseline": bool(plan.compute_baseline),
+        "compute_baseline": bool(plan.compute_baseline), "parts": "cell-json-v1",
     }
 
 
@@ -187,6 +189,26 @@ def _claim_directory(parts_dir: Path, plan: ExperimentPlan) -> None:
     path.write_text(json.dumps(mine, indent=2, sort_keys=True))
 
 
+def _part_text(seed: int, status: str, results: dict) -> str:
+    """A cell's part file: seed, status and every report, vectors as lists;
+    json writes floats with repr and NaN as NaN, so reports read back bit for bit."""
+    return json.dumps({"seed": seed, "status": status, "reports": {
+        name: dict(vars(report), per_constraint={
+            key: vec.tolist() for key, vec in report.per_constraint.items()})
+        for name, report in results.items()}})
+
+
+def _read_parts(parts_dir: Path):
+    """Every part present as ((n, trial), seed, status, reports), in (n, trial) order."""
+    found = sorted((tuple(int(g) for g in match.groups()), path)
+                   for path in parts_dir.iterdir()
+                   if (match := re.fullmatch(r"cell_n(\d+)_t(\d+)\.json", path.name)))
+    for key, path in found:
+        doc = json.loads(path.read_text())
+        yield key, doc["seed"], doc["status"], {
+            name: MetricsReport(**fields) for name, fields in doc["reports"].items()}
+
+
 def run_experiment(plan: ExperimentPlan) -> dict:
     """Execute the plan and write metrics.csv, aggregate.json, scaling.json.
 
@@ -197,43 +219,33 @@ def run_experiment(plan: ExperimentPlan) -> dict:
     parts_dir = out_dir / "parts"
     parts_dir.mkdir(parents=True, exist_ok=True)
     _claim_directory(parts_dir, plan)
-
-    m = plan.generator.m
-    experiment = plan.generator.experiment
-    outcomes = []
     for n in plan.n_grid:
         n = int(n)
-        for t, (seed, status, results) in enumerate(run_trial(plan, n, range(plan.trials))):
-            lines = [csv_row(experiment, variant.variant, n, t, seed,
-                             results[variant.variant], m, status=status)
-                     for variant in plan.variants]
-            (parts_dir / f"metrics_n{n}_t{t}.csv").write_text("".join(lines))
-            outcomes.append(((n, t), seed, status, results))
+        for t, outcome in enumerate(run_trial(plan, n, range(plan.trials))):
+            (parts_dir / f"cell_n{n}_t{t}.json").write_text(_part_text(*outcome))
 
-    # Merge every part present, in (n, trial) order, so that processes
+    # All three files are built from every part present, so that processes
     # running disjoint grids into the same directory union cleanly instead
     # of clobbering each other.
-    part_key = re.compile(r"metrics_n(\d+)_t(\d+)\.csv$")
-    parts = sorted(
-        (p for p in parts_dir.iterdir() if part_key.search(p.name)),
-        key=lambda p: tuple(int(g) for g in part_key.search(p.name).groups()))
+    m = plan.generator.m
+    experiment = plan.generator.experiment
+    by_variant_n: dict = {v.variant: {} for v in plan.variants}
+    failed, trials = [], {}
     with (out_dir / "metrics.csv").open("w") as fh:
         fh.write(csv_header(m))
-        for part in parts:
-            fh.write(part.read_text())
-
-    by_variant_n: dict = {v.variant: {} for v in plan.variants}
-    failed = []
-    for (n, t), seed, status, results in outcomes:
-        if status != "ok":
-            failed.append({"n": n, "trial": t, "seed": seed, "status": status})
-        for vname, report in results.items():
-            by_variant_n[vname].setdefault(n, []).append(report)
+        for (n, t), seed, status, reports in _read_parts(parts_dir):
+            fh.writelines(csv_row(experiment, v.variant, n, t, seed, reports[v.variant], m,
+                                  status=status) for v in plan.variants)
+            if status != "ok":
+                failed.append({"n": n, "trial": t, "seed": seed, "status": status})
+            trials[n] = trials.get(n, 0) + 1
+            for name, report in reports.items():
+                by_variant_n[name].setdefault(n, []).append(report)
 
     agg_doc = {
         "experiment": experiment,
-        "n_grid": [int(n) for n in plan.n_grid],
-        "trials": plan.trials,
+        "n_grid": sorted(trials),
+        "trials": max(trials.values(), default=0),
         "master_seed": plan.master_seed,
         "failed_trials": failed,
         "variants": {

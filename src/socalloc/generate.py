@@ -30,7 +30,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import ConfigError, DomainError, StructuralError
-from .model import Instance, Request, RiskSpec
+from .model import Instance, RiskSpec
 
 EXPERIMENTS = ("uniform", "chi_square")
 #: Requests that generate() and stream_requests() draw into one raw
@@ -166,12 +166,11 @@ def request_fields(config: GeneratorConfig, t: int):
     return RequestDraws(config)(t)
 
 
-def stream_requests(config: GeneratorConfig) -> Iterator[Request]:
-    """Yield requests in arrival order without materializing the instance."""
+def stream_requests(config: GeneratorConfig) -> Iterator[tuple]:
+    """Yield each request's (c, a_bar, k_diag) in arrival order, lazily."""
     draws = RequestDraws(config)
     for start in range(0, config.n, CHUNK):
-        for row in zip(*draws.block(start, min(start + CHUNK, config.n))):
-            yield Request(*row)
+        yield from zip(*draws.block(start, min(start + CHUNK, config.n)))
 
 
 def generate(config: GeneratorConfig) -> Instance:

@@ -1,4 +1,4 @@
-"""Domain data model: requests, risk specifications, instances, traces.
+"""Domain data model: risk specifications, instances, traces.
 
 All arrays are float64 and frozen read-only at construction, and
 construction refuses data outside the model's domain: a
@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -32,35 +32,6 @@ def _frozen(a, dtype=float) -> np.ndarray:
     arr = np.array(a, dtype=dtype)
     arr.setflags(write=False)
     return arr
-
-
-@dataclass(frozen=True)
-class Request:
-    """One arriving request: k schemes against m resources.
-
-    ``c`` has shape (k,) and holds per-scheme revenue; ``a_bar`` and
-    ``k_diag`` have shape (m, k) and hold the mean consumption and the
-    consumption variance of each scheme on each resource.
-    """
-
-    c: np.ndarray
-    a_bar: np.ndarray
-    k_diag: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "c", _frozen(self.c))
-        object.__setattr__(self, "a_bar", _frozen(self.a_bar))
-        object.__setattr__(self, "k_diag", _frozen(self.k_diag))
-        m, k = self.a_bar.shape
-        if self.c.shape != (k,) or self.k_diag.shape != (m, k):
-            raise StructuralError(
-                f"inconsistent request shapes: c{self.c.shape}, "
-                f"a_bar{self.a_bar.shape}, k_diag{self.k_diag.shape}")
-
-    @property
-    def gamma(self) -> np.ndarray:
-        """Per-scheme consumption standard deviations, shape (m, k)."""
-        return np.sqrt(self.k_diag)
 
 
 @dataclass(frozen=True)
@@ -177,28 +148,6 @@ class Instance:
         """Total budget n * d, shape (m,)."""
         return self.n * self.d
 
-    @property
-    def gamma(self) -> np.ndarray:
-        """Consumption standard deviations, shape (n, m, k)."""
-        return np.sqrt(self.k_diag)
-
-    def request(self, t: int) -> Request:
-        return Request(self.c[t], self.a_bar[t], self.k_diag[t])
-
-    def requests(self) -> Iterator[Request]:
-        for t in range(self.n):
-            yield self.request(t)
-
-    @classmethod
-    def from_requests(cls, requests, d, risk: RiskSpec | None = None) -> "Instance":
-        requests = list(requests)
-        if not requests:
-            raise StructuralError("instance needs at least one request")
-        c = np.stack([r.c for r in requests])
-        a_bar = np.stack([r.a_bar for r in requests])
-        k_diag = np.stack([r.k_diag for r in requests])
-        return cls(c, a_bar, k_diag, d, risk or RiskSpec())
-
 
 @dataclass(frozen=True)
 class SolutionTrace:
@@ -208,7 +157,8 @@ class SolutionTrace:
     ``mean_consumption[j]`` accumulates the chosen mean consumptions and
     ``variance_accum[j]`` the chosen variances, so the cone-form usage
     of resource j is ``mean_consumption[j] + psi[j] *
-    sqrt(variance_accum[j])``.
+    sqrt(variance_accum[j])``; totals and peak price are finite, variances and
+    peak price nonnegative, or one :class:`DomainError` names every violation.
     """
 
     decisions: tuple
@@ -221,6 +171,17 @@ class SolutionTrace:
         object.__setattr__(self, "decisions", tuple(self.decisions))
         object.__setattr__(self, "mean_consumption", _frozen(self.mean_consumption))
         object.__setattr__(self, "variance_accum", _frozen(self.variance_accum))
+        problems = []
+        if not np.isfinite(self.objective):
+            problems.append("objective must be finite")
+        if not np.isfinite(self.mean_consumption).all():
+            problems.append("mean consumptions must be finite")
+        if not np.all(np.isfinite(self.variance_accum) & (self.variance_accum >= 0)):
+            problems.append("accumulated variances must be finite and nonnegative")
+        if not (np.isfinite(self.max_dual_inf) and self.max_dual_inf >= 0):
+            problems.append("the peak price must be finite and nonnegative")
+        if problems:
+            raise DomainError("invalid trace: " + "; ".join(problems))
 
 
 def soc_lhs(trace: SolutionTrace, instance: Instance) -> np.ndarray:

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, StructuralError
-from .model import Decision, Instance, SolutionTrace
+from .model import Instance, SolutionTrace
 from .transform import LinearizedInstance
 
 VARIANTS = ("vanilla", "marginal", "marginal-dynamic")
@@ -81,28 +81,18 @@ def tie_rng(seed: int, t: int) -> np.random.Generator:
 
 
 class InstanceBlocks:
-    """Block source over linearized instances of one shape, n, d and psi.
+    """Block source over one linearized instance: ``blocks(start, stop)``
+    returns (c, a_bar, k_diag, a_tilde) of requests start..stop-1 as
+    views of one row, shapes (T, 1, k) and (T, 1, m, k)."""
 
-    ``blocks(start, stop)`` returns (c, a_bar, k_diag, a_tilde) of
-    requests start..stop-1, shapes (T, R, k) and (T, R, m, k), where row
-    r is ``lins[r]``.
-    """
-
-    def __init__(self, lins):
-        base = lins[0].base
-        for lin in lins:
-            inst = lin.base
-            if (inst.a_bar.shape != base.a_bar.shape or not np.array_equal(inst.d, base.d)
-                    or not np.array_equal(inst.risk.psi, base.risk.psi)):
-                raise StructuralError("lanes need instances of one shape, budget and psi")
-        self.fields = [[lin.base.c for lin in lins], [lin.base.a_bar for lin in lins],
-                       [lin.base.k_diag for lin in lins], [lin.a_tilde for lin in lins]]
+    def __init__(self, lin: LinearizedInstance):
+        base = lin.base
+        self.fields = (base.c, base.a_bar, base.k_diag, lin.a_tilde)
         self.n, self.k = base.n, base.k
         self.d, self.psi = base.d, base.risk.psi
 
     def __call__(self, start: int, stop: int):
-        return tuple(np.stack([x[start:stop] for x in field], axis=1)
-                     for field in self.fields)
+        return tuple(x[start:stop, None] for x in self.fields)
 
 
 class Lanes:
@@ -189,7 +179,18 @@ class Lanes:
         stop = self.n if limit is None else min(limit, self.n)
         while self.t < stop:
             self.advance(min(self.block, stop - self.t))
-        return self.traces()
+        B = len(self._rows)
+        picks = (np.concatenate(self._decisions) if self._decisions
+                 else np.empty((0, B), dtype=np.intp))
+        out: list = [None] * B
+        for i, lane in enumerate(self._order):
+            out[lane] = SolutionTrace(
+                decisions=tuple(None if x == 0 else x - 1 for x in picks[:, i].tolist()),
+                objective=float(self._objective[i]),
+                mean_consumption=self._mean_var[i, 0, 0],
+                variance_accum=self._mean_var[i, 0, 1],
+                max_dual_inf=float(self._max_dual_inf[i]))
+        return out
 
     def advance(self, steps: int) -> np.ndarray:
         """Take the next ``steps`` (at most ``block``) steps; returns their
@@ -296,26 +297,11 @@ class Lanes:
             if len(ties) > 1:
                 pick[i, 0] = tie_rng(self._seeds[i], t).choice(ties) + 1
 
-    def traces(self) -> list[SolutionTrace]:
-        """Each lane's trace so far, in lane order."""
-        B, k = len(self._rows), self.k
-        picks = (np.concatenate(self._decisions) if self._decisions
-                 else np.empty((0, B), dtype=np.intp))
-        out: list = [None] * B
-        for i, lane in enumerate(self._order):
-            out[lane] = SolutionTrace(
-                decisions=tuple(None if x == 0 else x - 1 for x in picks[:, i].tolist()),
-                objective=float(self._objective[i]),
-                mean_consumption=self._mean_var[i, 0, 0],
-                variance_accum=self._mean_var[i, 0, 1],
-                max_dual_inf=float(self._max_dual_inf[i]))
-        return out
-
 
 class OnlineSolver:
     """One irrevocable pass over ``lin.base``: a lane set of one lane.
 
-    ``step()`` consumes the next request and returns its decision; the
+    ``run(limit)`` steps to ``limit`` and returns the trace so far; the
     decision at step t depends only on data revealed at steps <= t and
     the seed, so a run truncated after any prefix reproduces the full
     run's first decisions exactly.  With ``record_steps``, ``steps``
@@ -326,9 +312,8 @@ class OnlineSolver:
     def __init__(self, lin: LinearizedInstance,
                  config: VariantConfig = VariantConfig(),
                  record_steps: bool = False):
-        self.lin = lin
         self.config = config
-        self.lanes = Lanes(InstanceBlocks([lin]), [(0, config)], record_steps)
+        self.lanes = Lanes(InstanceBlocks(lin), [(0, config)], record_steps)
 
     @property
     def prices(self) -> np.ndarray:
@@ -338,15 +323,8 @@ class OnlineSolver:
     def steps(self):
         return None if self.lanes.steps is None else self.lanes.steps[0]
 
-    def step(self) -> Decision:
-        pick = int(self.lanes.advance(1)[0, 0])
-        return None if pick == 0 else pick - 1
-
     def run(self, limit: int | None = None) -> SolutionTrace:
         return self.lanes.run(limit)[0]
-
-    def trace(self) -> SolutionTrace:
-        return self.lanes.traces()[0]
 
 
 def run_online(instance: Instance, lin: LinearizedInstance,

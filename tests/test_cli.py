@@ -157,6 +157,83 @@ class TestBadInstanceFile:
         assert not (tmp_path / "out.file").exists()
 
 
+def _set(key, index, value):
+    """A corruption writing ``value`` to ``doc[key]`` (or ``doc[key][index]``)."""
+    def corrupt(doc):
+        if index is None:
+            doc[key] = value
+        else:
+            doc[key][index] = value
+    corrupt.__name__ = f"{key}{'' if index is None else [index]}={value!r}"
+    return corrupt
+
+
+def _drop_decision(doc):
+    doc["decisions"].pop()
+
+
+class TestBadTraceOrCertificate:
+    """An evaluate input outside its domain, or a trace that does not fit
+    its instance, is a data error and writes nothing."""
+
+    @pytest.fixture
+    def files(self, tmp_path, capsys):
+        assert run(tmp_path, "generate", "--experiment", "uniform", "--n", "10",
+                   "--m", "2", "--k", "3", "--eta", "0.9,0.8", "--seed", "4") == 0
+        assert run(tmp_path, "solve-online", "--instance", "instance.json") == 0
+        assert run(tmp_path, "baseline", "--instance", "instance.json") == 0
+        capsys.readouterr()
+        return tmp_path
+
+    def evaluate(self, tmp_path, capsys, name, corrupt):
+        doc = json.loads((tmp_path / f"{name}.json").read_text())
+        corrupt(doc)
+        (tmp_path / "bad.json").write_text(json.dumps(doc))  # NaN as the literal NaN
+        files = {"trace": "trace.json", "certificate": "certificate.json", name: "bad.json"}
+        code = run(tmp_path, "evaluate", "--instance", "instance.json",
+                   "--trace", files["trace"], "--baseline", files["certificate"],
+                   "--out", "out.csv")
+        return code, capsys.readouterr().err
+
+    def test_unedited_files_evaluate(self, files, capsys):
+        assert self.evaluate(files, capsys, "trace", lambda doc: None)[0] == 0
+
+    @pytest.mark.parametrize("corrupt", [
+        _set("decisions", 0, 99), _set("decisions", 1, -3), _set("decisions", 2, 1.0),
+        _set("decisions", 3, True), _drop_decision], ids=lambda corrupt: corrupt.__name__)
+    def test_foreign_trace_exits_2(self, files, capsys, corrupt):
+        code, err = self.evaluate(files, capsys, "trace", corrupt)
+        assert code == 2 and "trace does not fit the instance" in err
+        assert not (files / "out.csv").exists()
+
+    @pytest.mark.parametrize("corrupt", [
+        _set("objective", None, float("nan")), _set("variance_accum", 0, -0.5),
+        _set("mean_consumption", 1, float("inf")), _set("max_dual_inf", None, -1.0)],
+        ids=lambda corrupt: corrupt.__name__)
+    def test_invalid_trace_exits_2(self, files, capsys, corrupt):
+        code, err = self.evaluate(files, capsys, "trace", corrupt)
+        assert code == 2 and "invalid trace" in err
+        assert not (files / "out.csv").exists()
+
+    @pytest.mark.parametrize("corrupt", [
+        _set("value", None, float("nan")), _set("value", None, float("inf")),
+        _set("p_star", 0, -0.1), _set("p_star", 1, float("nan")),
+        _set("iterations", None, -5), _set("gap", None, -1e-3),
+        _set("gap", None, float("nan"))],
+        ids=lambda corrupt: corrupt.__name__)
+    def test_certificate_exits_2(self, files, capsys, corrupt):
+        code, err = self.evaluate(files, capsys, "certificate", corrupt)
+        assert code == 2 and "invalid certificate" in err
+        assert not (files / "out.csv").exists()
+
+    def test_certificate_names_every_violation(self, files, capsys):
+        def corrupt(doc):
+            doc.update(value=float("nan"), iterations=-5, gap=-1.0)
+            doc["p_star"][0] = -1.0
+        _, err = self.evaluate(files, capsys, "certificate", corrupt)
+        assert all(word in err for word in ("value", "prices", "iterations", "gap"))
+
+
 class TestPipeline:
     def test_generate_solve_baseline_evaluate(self, tmp_path, capsys):
         assert run(tmp_path, "generate", "--experiment", "uniform",

@@ -10,6 +10,7 @@ from socalloc import (ConfigError, ExperimentPlan, GeneratorConfig,
                       VariantConfig, build_report, generate, linearize,
                       minimize_dual, run_experiment, run_online, run_trial,
                       to_soc, trial_seed)
+from socalloc.experiment import _plan_fingerprint
 from socalloc.metrics import csv_header, csv_row
 
 ETA_GRID = (0.65, 0.75, 0.85, 0.95)
@@ -125,20 +126,62 @@ class TestRunExperiment:
 
     def test_disjoint_n_subsets_union_in_shared_directory(self, tmp_path):
         # two runs of the same plan family covering disjoint grid points,
-        # same output directory: the merged CSV unions their rows instead
-        # of the second run clobbering the first
+        # same output directory: all three files union their cells instead
+        # of the second run clobbering the first, byte for byte as one run
+        # over both points writes them
         shared = tmp_path / "shared"
         gen = GeneratorConfig("uniform", n=20, m=4, k=5, eta=ETA_GRID, seed=0)
+        plan = ExperimentPlan(generator=gen, n_grid=(10, 20), trials=1,
+                              variants=(VariantConfig("vanilla"),),
+                              output_dir=str(tmp_path / "one"), master_seed=5)
+        run_experiment(plan)
         for n in (10, 20):
-            plan = ExperimentPlan(generator=gen, n_grid=(n,), trials=1,
-                                  variants=(VariantConfig("vanilla"),),
-                                  output_dir=str(shared), master_seed=5,
-                                  compute_baseline=False)
-            run_experiment(plan)
+            doc = run_experiment(replace(plan, n_grid=(n,), output_dir=str(shared)))
         body = (shared / "metrics.csv").read_text().splitlines()
         assert len(body) == 2 + 2  # comment, header, one row per grid point
         assert body[2].split(",")[2] == "10"
         assert body[3].split(",")[2] == "20"
+        assert doc["n_grid"] == [10, 20] and doc["trials"] == 1
+        assert set(doc["variants"]["vanilla"]) == {"10", "20"}
+        scaling = json.loads((shared / "scaling.json").read_text())
+        assert scaling["vanilla"]["optimality_gap"]["n"] == [10, 20]
+        for name in ("metrics.csv", "aggregate.json", "scaling.json"):
+            assert (shared / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+    def test_reports_count_every_trial_present(self, tmp_path):
+        # a second run with fewer trials leaves the first run's extra parts
+        # in place: every file reports the largest trial count
+        plan = small_plan(tmp_path, trials=3, n_grid=(10,), compute_baseline=False)
+        run_experiment(plan)
+        doc = run_experiment(replace(plan, trials=1))
+        assert doc["trials"] == 3
+        body = (tmp_path / "out" / "metrics.csv").read_text().splitlines()
+        assert len(body) == 2 + 3 * len(plan.variants)
+
+    def test_failed_trials_read_from_the_parts(self, tmp_path):
+        plan = small_plan(tmp_path, trials=2, n_grid=(10,), compute_baseline=False)
+        run_experiment(plan)
+        part = tmp_path / "out" / "parts" / "cell_n10_t1.json"
+        doc = json.loads(part.read_text())
+        part.write_text(json.dumps(dict(doc, status="baseline_failed")))
+        agg = run_experiment(replace(plan, n_grid=(12,)))
+        assert agg["failed_trials"] == [{"n": 10, "trial": 1, "seed": doc["seed"],
+                                         "status": "baseline_failed"}]
+
+    def test_directory_of_old_csv_parts_refused(self, tmp_path):
+        # parts written as CSV rows, before each part held its whole
+        # reports, cannot feed aggregate.json; such a directory is refused
+        # before anything is written
+        plan = small_plan(tmp_path, trials=1, n_grid=(10,), compute_baseline=False)
+        parts = tmp_path / "out" / "parts"
+        parts.mkdir(parents=True)
+        old = _plan_fingerprint(plan)
+        del old["parts"]
+        (parts / "plan.json").write_text(json.dumps(old, indent=2, sort_keys=True))
+        (parts / "metrics_n10_t0.csv").write_text("uniform,vanilla,10,0,1,ok\n")
+        with pytest.raises(ConfigError, match=r"differs in parts\)"):
+            run_experiment(plan)
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["parts"]
 
     def test_other_plan_refused_in_shared_directory(self, tmp_path):
         # m = 2 then m = 3 into one directory would merge rows of two widths

@@ -45,10 +45,10 @@ class TestOrderIndependence:
     def test_streaming_equals_batch(self):
         cfg = GeneratorConfig("uniform", n=25, m=4, k=5, seed=5)
         inst = generate(cfg)
-        for t, req in enumerate(stream_requests(cfg)):
-            assert np.array_equal(req.c, inst.c[t])
-            assert np.array_equal(req.a_bar, inst.a_bar[t])
-            assert np.array_equal(req.k_diag, inst.k_diag[t])
+        for t, (c, a_bar, k_diag) in enumerate(stream_requests(cfg)):
+            assert np.array_equal(c, inst.c[t])
+            assert np.array_equal(a_bar, inst.a_bar[t])
+            assert np.array_equal(k_diag, inst.k_diag[t])
 
 
 class TestReferenceStreams:
@@ -70,9 +70,8 @@ class TestReferenceStreams:
             for got in (request_fields(cfg, t), draws(t),
                         (inst.c[t], inst.a_bar[t], inst.k_diag[t])):
                 assert all(np.array_equal(a, b) for a, b in zip(got, want[t]))
-        for t, req in enumerate(stream_requests(cfg)):
-            assert all(np.array_equal(a, b)
-                       for a, b in zip((req.c, req.a_bar, req.k_diag), want[t]))
+        for t, row in enumerate(stream_requests(cfg)):
+            assert all(np.array_equal(a, b) for a, b in zip(row, want[t]))
         for i, t in enumerate(range(3, 9)):
             assert all(np.array_equal(a[i], b) for a, b in zip(block, want[t]))
 
@@ -152,7 +151,7 @@ class TestCustomSampler:
         for order in (range(n), reversed(range(n)), interleaved):
             got = {t: draws(t) for t in order}
             rows += [got[t] for t in range(n)]
-        rows += [(req.c, req.a_bar, req.k_diag) for req in stream_requests(cfg)]
+        rows += list(stream_requests(cfg))
         for i, got in enumerate(rows):
             assert all(np.array_equal(a, b) for a, b in zip(got, want[i % n]))
 

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 from hypothesis.extra.numpy import arrays
 
-from socalloc import (ConfigError, DomainError, GeneratorConfig, Instance, Request,
-                      RiskSpec, SolutionTrace, StructuralError, generate, load_instance,
+from socalloc import (ConfigError, DomainError, GeneratorConfig, Instance, RiskSpec,
+                      SolutionTrace, StructuralError, generate, load_instance,
                       load_trace, save_instance, save_trace, soc_lhs, to_soc)
 from socalloc.model import (_instance_from_dict, _instance_to_dict, _trace_from_dict,
                             _trace_to_dict)
@@ -25,10 +25,6 @@ def empty_trace(m: int, n: int = 0) -> SolutionTrace:
 
 
 class TestConstruction:
-    def test_request_shape_check(self):
-        with pytest.raises(StructuralError):
-            Request(c=[1.0, 2.0], a_bar=[[1.0]], k_diag=[[0.0]])
-
     def test_instance_shape_checks(self):
         rng = np.random.default_rng(0)
         with pytest.raises(StructuralError):
@@ -69,14 +65,6 @@ class TestConstruction:
         assert all(np.array_equal(a, b) for a, b in
                    zip((inst.c, inst.a_bar, inst.k_diag), keep))
 
-    def test_from_requests_round_trip(self):
-        rng = np.random.default_rng(2)
-        inst = random_instance(rng, n=6)
-        rebuilt = Instance.from_requests(list(inst.requests()), inst.d, inst.risk)
-        assert np.array_equal(rebuilt.c, inst.c)
-        assert np.array_equal(rebuilt.a_bar, inst.a_bar)
-        assert np.array_equal(rebuilt.k_diag, inst.k_diag)
-
     def test_budget_is_n_times_d(self):
         inst = random_instance(np.random.default_rng(3), n=7)
         assert np.array_equal(inst.budget, 7 * inst.d)
@@ -89,13 +77,12 @@ class TestDiagonalIdentity:
         # square-root diagonal
         rng = np.random.default_rng(4)
         for _ in range(200):
-            req = Request(c=rng.random(3), a_bar=rng.random((2, 3)),
-                          k_diag=rng.random((2, 3)))
-            gamma = req.gamma
+            k_diag = rng.random((2, 3))
+            gamma = np.sqrt(k_diag)
             for l in range(3):
                 e = np.zeros(3)
                 e[l] = 1.0
-                quad = np.sqrt(e @ np.diag(req.k_diag[0]) @ e)
+                quad = np.sqrt(e @ np.diag(k_diag[0]) @ e)
                 assert quad == pytest.approx(gamma[0] @ e, abs=0)
 
 
@@ -149,6 +136,27 @@ class TestSocLhs:
         inst = random_instance(np.random.default_rng(9), n=3, psi=np.ones(4))
         with pytest.raises(StructuralError):
             soc_lhs(empty_trace(2, 3), inst)
+
+
+class TestTraceChecks:
+    @pytest.mark.parametrize("field, value, word", [
+        ("objective", np.nan, "objective"), ("objective", np.inf, "objective"),
+        ("mean_consumption", [1.0, np.nan], "mean"),
+        ("variance_accum", [1.0, -0.5], "variances"),
+        ("variance_accum", [np.inf, 0.0], "variances"),
+        ("max_dual_inf", -1.0, "peak price"), ("max_dual_inf", np.nan, "peak price")])
+    def test_refused_at_construction(self, field, value, word):
+        fields = {"decisions": (0, None), "objective": 1.0, "mean_consumption": [1.0, 2.0],
+                  "variance_accum": [0.5, 0.0], "max_dual_inf": 0.3, field: value}
+        with pytest.raises(DomainError, match=word):
+            SolutionTrace(**fields)
+
+    def test_names_every_violation(self):
+        with pytest.raises(DomainError) as err:
+            SolutionTrace(decisions=(), objective=np.nan, mean_consumption=[np.inf],
+                          variance_accum=[-1.0], max_dual_inf=-1.0)
+        message = str(err.value)
+        assert all(word in message for word in ("objective", "mean", "variances", "peak"))
 
 
 class TestRiskSpec:

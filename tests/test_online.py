@@ -1,8 +1,9 @@
 """Online solver: pricing, decisions, dual updates, variants, causality, lanes.
 
-The pricing, decision and dual-step tests drive ``OnlineSolver.step`` on
-hand-built instances with psi = 0, so the vanilla columns equal the
-means given, and read the margins from its step recorder.  The lane
+The pricing, decision and dual-step tests step a one-lane solver
+(``helpers.step``) on hand-built instances with psi = 0, so the vanilla
+columns equal the means given, and read the margins from its step
+recorder.  The lane
 tests check that a lane set of many runs gives each run's trace bit for
 bit as the run alone does.
 """
@@ -19,7 +20,8 @@ from socalloc import (DomainError, GeneratorConfig, Instance, OnlineSolver,
                       linearize, run_online, soc_lhs, to_soc)
 from socalloc.online import VARIANTS, InstanceBlocks, Lanes, canonical_variant
 
-from helpers import forced_run, priced_margins, projected_step, random_instance
+from helpers import (StackedBlocks, forced_run, priced_margins, projected_step,
+                     random_instance, step)
 
 ETA_GRID = (0.65, 0.75, 0.85, 0.95)
 
@@ -53,7 +55,7 @@ def margins(c, cols, prices=None):
     out = []
     for l in range(len(c)):
         solver = hand_solver(c[l:l + 1], cols[:, l:l + 1], prices)
-        solver.step()
+        step(solver)
         out.append(solver.steps[-1][2])
     return np.array(out)
 
@@ -64,7 +66,7 @@ class TestReducedValues:
         cols = np.random.default_rng(0).random((2, 3))
         assert np.array_equal(margins(c, cols), c)
         solver = hand_solver(c, cols)
-        assert solver.step() == 1
+        assert step(solver) == 1
         assert solver.steps[-1][2] == 0.9
 
     def test_arithmetic(self):
@@ -81,16 +83,16 @@ class TestReducedValues:
 
 class TestDecide:
     def test_all_nonpositive_skips(self):
-        assert hand_solver([-0.2, -0.1], np.zeros((2, 2))).step() is None
+        assert step(hand_solver([-0.2, -0.1], np.zeros((2, 2)))) is None
 
     def test_zero_margin_skips(self):
         # strict inequality: an exactly-zero best value is not taken
         solver = hand_solver([2.0], [[2.0]], prices=[1.0])
-        assert solver.step() is None
+        assert step(solver) is None
         assert solver.steps[-1][2] == 0.0
 
     def test_unique_argmax(self):
-        assert hand_solver([0.3, 0.7], np.zeros((1, 2))).step() == 1
+        assert step(hand_solver([0.3, 0.7], np.zeros((1, 2)))) == 1
 
     def test_tie_breaking_is_uniform(self):
         # nothing is consumed, so the prices stay clipped at zero and
@@ -106,10 +108,10 @@ class TestDecide:
     def test_tie_draw_depends_only_on_seed_and_step(self):
         c = [0.5, 0.5]
         cols = np.zeros((1, 2))
-        a = hand_solver(c, cols, [0.0], n=18, t=17,
-                        config=VariantConfig("vanilla", 5)).step()
-        b = hand_solver(c, cols, [0.9], n=18, t=17,
-                        config=VariantConfig("marginal", 5)).step()
+        a = step(hand_solver(c, cols, [0.0], n=18, t=17,
+                             config=VariantConfig("vanilla", 5)))
+        b = step(hand_solver(c, cols, [0.9], n=18, t=17,
+                             config=VariantConfig("marginal", 5)))
         assert a == b
 
 
@@ -117,17 +119,17 @@ class TestDualUpdate:
     def test_balanced_consumption_leaves_prices(self):
         p = np.array([0.4, 0.2])
         solver = hand_solver([10.0], [[1.0], [1.0]], p, n=100)  # consumes d
-        assert solver.step() == 0
+        assert step(solver) == 0
         assert np.array_equal(solver.prices, p)
 
     def test_arithmetic(self):
         solver = hand_solver([1.0], [[0.7]], [0.2], n=100)
-        assert solver.step() == 0
+        assert step(solver) == 0
         assert solver.prices[0] == pytest.approx(0.17, abs=1e-15)
 
     def test_projection_binds(self):
         solver = hand_solver([-1.0], [[0.5]], [0.01], n=100)
-        assert solver.step() is None  # 0.01 + (0 - 1) / 10 < 0
+        assert step(solver) is None  # 0.01 + (0 - 1) / 10 < 0
         assert solver.prices[0] == 0.0
 
 
@@ -142,7 +144,7 @@ class TestStepRecorder:
         prices = np.zeros(inst.m)
         for t in range(inst.n):
             best = max(priced_margins(prices, inst.c[t], lin.a_tilde[t]))
-            scheme = solver.step()
+            scheme = step(solver)
             row_t, row_scheme, row_value, row_prices = solver.steps[-1]
             assert (row_t, row_scheme) == (t, scheme)
             assert row_value == pytest.approx(best, abs=1e-12)
@@ -173,9 +175,9 @@ def marginal_costs(a_bar, k_diag, psi, taken=None):
             solver = OnlineSolver(linearize(inst), VariantConfig("marginal"),
                                   record_steps=True)
             if taken is not None:
-                assert solver.step() == 0
+                assert step(solver) == 0
             solver.prices[:] = np.eye(m)[j]
-            solver.step()
+            step(solver)
             cost[j, l] = -solver.steps[-1][2]
     return cost
 
@@ -189,7 +191,7 @@ def after_step(variant, c, a_bar, prices, d, n, steps):
     solver = OnlineSolver(linearize(inst), VariantConfig(variant))
     solver.prices[:] = prices
     for _ in range(steps):
-        solver.step()
+        step(solver)
     return solver.prices.copy()
 
 
@@ -244,7 +246,7 @@ class TestDynamicBudget:
         assert solver.run(limit=10).decisions == (0,) * 10
         before = solver.prices.copy()
         assert before[0] > 0.0
-        assert solver.step() is None
+        assert step(solver) is None
         assert solver.prices[0] == before[0]
 
     def test_on_schedule_consumption_keeps_target(self):
@@ -318,7 +320,7 @@ class TestRunOnline:
         solver = OnlineSolver(lin)
         solver.run()
         with pytest.raises(StructuralError):
-            solver.step()
+            step(solver)
 
     def test_corrected_variants_collapse_to_vanilla_at_zero_psi(self):
         rng = np.random.default_rng(26)
@@ -353,13 +355,13 @@ class TestArgmaxInvariance:
             cols = rng.random((3, 5))
             p = rng.random(3)
             base = margins(c, cols, p)
-            choice = hand_solver(c, cols, p).step()
+            choice = step(hand_solver(c, cols, p))
             for s in (0.5, 2.0, 8.0):
                 scaled = margins(s * c, s * cols, p)
                 assert np.array_equal(scaled, s * base)
                 assert np.array_equal(np.flatnonzero(base == base.max()),
                                       np.flatnonzero(scaled == scaled.max()))
-                assert hand_solver(s * c, s * cols, p).step() == choice
+                assert step(hand_solver(s * c, s * cols, p)) == choice
 
     def test_inverse_price_rescaling_is_identity(self):
         rng = np.random.default_rng(29)
@@ -404,7 +406,7 @@ class TestLanes:
         instances = [to_soc(generate(GeneratorConfig(
             experiment, n=300, m=4, k=5, eta=ETA_GRID, seed=seed))) for seed in seeds]
         lins, lanes = lane_set(instances, seeds)
-        traces = Lanes(InstanceBlocks(lins), lanes).run()
+        traces = Lanes(StackedBlocks(lins), lanes).run()
         assert len(traces) == len(lanes)
         for (row, config), trace in zip(lanes, traces):
             assert_same_trace(trace, run_online(instances[row], lins[row], config))
@@ -422,7 +424,7 @@ class TestLanes:
         lins, lanes = lane_set(instances, [1, 2, 3])
         # the same instance twice under two seeds: ties make them part ways
         lanes += [(0, VariantConfig("vanilla", 4))]
-        traces = Lanes(InstanceBlocks(lins), lanes).run()
+        traces = Lanes(StackedBlocks(lins), lanes).run()
         for (row, config), trace in zip(lanes, traces):
             assert_same_trace(trace, run_online(instances[row], lins[row], config))
         assert traces[0].decisions != traces[-1].decisions
@@ -432,18 +434,18 @@ class TestLanes:
         instances = [to_soc(generate(GeneratorConfig(
             "uniform", n=100, m=4, k=5, eta=ETA_GRID, seed=seed))) for seed in seeds]
         lins, lanes = lane_set(instances, seeds)
-        forward = Lanes(InstanceBlocks(lins), lanes).run()
-        backward = Lanes(InstanceBlocks(lins), lanes[::-1]).run()[::-1]
+        forward = Lanes(StackedBlocks(lins), lanes).run()
+        backward = Lanes(StackedBlocks(lins), lanes[::-1]).run()[::-1]
         for a, b in zip(forward, backward):
             assert_same_trace(a, b)
 
-    def test_instances_must_share_n_d_and_psi(self):
-        rng = np.random.default_rng(41)
-        a = linearize(random_instance(rng, n=20, psi=np.ones(4)))
-        for other in (random_instance(rng, n=21, psi=np.ones(4)),
-                      random_instance(rng, n=20, psi=np.full(4, 2.0))):
-            with pytest.raises(StructuralError):
-                InstanceBlocks([a, linearize(other)])
+    def test_one_instance_blocks_are_views(self):
+        inst, lin = experiment_one(40, seed=43)
+        blocks = InstanceBlocks(lin)(5, 9)
+        for got, want in zip(blocks, (inst.c, inst.a_bar, inst.k_diag, lin.a_tilde)):
+            assert got.shape == (4, 1) + want.shape[1:]
+            assert np.shares_memory(got, want)
+            assert np.array_equal(got[:, 0], want[5:9])
 
     def test_nonfinite_coefficients_refused(self):
         rng = np.random.default_rng(42)
@@ -471,8 +473,8 @@ class TestProperties:
         if coarse:
             instances = [coarsened(inst) for inst in instances]
         lins, lanes = lane_set(instances, [seed + row for row in range(rows)])
-        full = Lanes(InstanceBlocks(lins), lanes).run()
-        prefix = Lanes(InstanceBlocks(lins), lanes).run(limit=limit)
+        full = Lanes(StackedBlocks(lins), lanes).run()
+        prefix = Lanes(StackedBlocks(lins), lanes).run(limit=limit)
         for (row, config), lane_full, lane_prefix in zip(lanes, full, prefix):
             alone = run_online(instances[row], lins[row], config)
             again = run_online(instances[row], lins[row], config)

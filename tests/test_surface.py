@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -41,3 +44,36 @@ def test_all_names_resolve():
     assert len(socalloc.__all__) == len(set(socalloc.__all__))
     for name in socalloc.__all__:
         getattr(socalloc, name)
+
+
+#: Layers the traced benchmark wraps where each entry module looks them up
+#: (perfbench/spans.py skips a missing one, and its layer then reads 0).
+WRAPPED = {"socalloc.experiment": ("run_trial", "generate", "linearize", "minimize_dual",
+                                   "build_report"),
+           "socalloc.cli": ("generate", "linearize", "minimize_dual", "build_report",
+                            "load_instance", "save_instance", "save_trace")}
+
+SPANS_SCRIPT = """
+import sys
+from spans import Spans
+from socalloc import GeneratorConfig, OnlineSolver, generate, linearize, to_soc
+spans = Spans().install("socalloc.experiment").install("socalloc.cli")
+lin = linearize(to_soc(generate(GeneratorConfig("uniform", n=20, m=2, k=3, eta=(0.9, 0.8)))))
+OnlineSolver(lin).run()
+assert {info for name, *_, info in spans.records if name == "online.run"} == {("vanilla", 20)}
+print("ok")
+"""
+
+
+def test_benchmark_spans_install():
+    # the traced benchmark wraps attributes by name: OnlineSolver.run,
+    # reading its config's variant, and module attributes of baseline,
+    # transform and metrics; one of them gone breaks every traced run
+    for entry, attrs in WRAPPED.items():
+        module = importlib.import_module(entry)
+        assert all(hasattr(module, attr) for attr in attrs), entry
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "perfbench"), str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run([sys.executable, "-c", SPANS_SCRIPT], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.stdout.strip() == "ok", result.stderr
