@@ -16,13 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .model import _frozen
+from .model import _frozen, _json_field, _refuse
 from .transform import LinearizedInstance
 
 
 @dataclass(frozen=True)
 class DualCertificate:
-    """Best dual point, its exact value, its gap to a primal lower bound."""
+    """Best dual point, its exact value, its gap to a primal lower bound;
+    one DomainError names every field out of its domain."""
 
     value: float
     p_star: np.ndarray
@@ -31,6 +32,13 @@ class DualCertificate:
 
     def __post_init__(self):
         object.__setattr__(self, "p_star", _frozen(self.p_star))
+        _refuse("certificate", (
+            ("value must be finite", np.isfinite(self.value)),
+            ("prices must be finite and nonnegative",
+             np.all(np.isfinite(self.p_star) & (self.p_star >= 0))),
+            ("iterations must be nonnegative", self.iterations >= 0),
+            ("gap must be finite and nonnegative", np.isfinite(self.gap) and self.gap >= 0),
+        ))
 
     def to_dict(self) -> dict:
         return {"value": self.value, "p_star": self.p_star.tolist(),
@@ -38,8 +46,10 @@ class DualCertificate:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DualCertificate":
-        return cls(value=float(doc["value"]), p_star=doc["p_star"],
-                   iterations=int(doc["iterations"]), gap=float(doc["gap"]))
+        return cls(value=float(_json_field(doc, "value")),
+                   p_star=_json_field(doc, "p_star", many=True),
+                   iterations=_json_field(doc, "iterations", (int,)),
+                   gap=float(_json_field(doc, "gap")))
 
 
 #: Requests per block of a smoothed pass: its temporaries are (m, CHUNK k).

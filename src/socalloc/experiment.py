@@ -6,14 +6,16 @@ baseline, and runs every variant on that same instance, so variants are
 compared like-for-like.  The cells of one n run together, one n after
 another: the trials x variants of an n are the lanes of one
 :class:`~socalloc.online.Lanes` set, which steps them all with one numpy
-call per step.  The lanes draw their requests from the generator block
-by block, so no instance is held while they run; with baselines each
-trial's instance is generated and certified first, one at a time, and
-only its certificate is kept.  Each cell writes one part file, the one
-record of its results; all three report files are built from every part
-present, in (n, trial) order, so reruns are byte-identical and runs of
-one plan over other n-grids or trial counts union in a shared output
-directory.  A fingerprint in ``parts/`` refuses any other plan or format.
+call per step.  The lanes draw each trial's requests from the
+generator's :class:`~socalloc.generate.RequestDraws` block by block and
+price their columns themselves, so no instance is held while they run;
+with baselines each trial's instance is generated and certified first,
+one at a time, and only its certificate is kept.  Each cell writes one
+part file, the one record of its results; all three report files are
+built from every part present, in (n, trial) order, so reruns are
+byte-identical and runs of one plan over other n-grids or trial counts
+union in a shared output directory.  A fingerprint in ``parts/``
+refuses any other plan or format.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .generate import GeneratorConfig, RequestDraws, generate
 from .metrics import MetricsReport, aggregate, build_report, csv_header, csv_row, scaling_slope
 from .model import RiskSpec
 from .online import Lanes, VariantConfig
-from .transform import linear_columns, linearize, safety_coefficients, to_soc
+from .transform import linearize, safety_coefficients, to_soc
 
 DEFAULT_VARIANTS = tuple(VariantConfig(v) for v in
                          ("vanilla", "marginal", "marginal-dynamic"))
@@ -55,24 +57,6 @@ def trial_seed(master_seed: int, n: int, trial: int) -> int:
     """Deterministic 64-bit seed for one (n, trial) cell."""
     ss = np.random.SeedSequence(entropy=(int(master_seed), int(n), int(trial)))
     return int(ss.generate_state(1, np.uint64)[0])
-
-
-class _GeneratedBlocks:
-    """Block source drawing straight from the generator; row r is configs[r]."""
-
-    def __init__(self, configs):
-        first = configs[0]
-        self.draws = [RequestDraws(config) for config in configs]
-        self.n, self.m, self.k = first.n, first.m, first.k
-        self.d = first.budget()
-        self.psi = safety_coefficients(first.risk())
-
-    def __call__(self, start: int, stop: int):
-        T, R, m, k = stop - start, len(self.draws), self.m, self.k
-        c, a_bar, k_diag = np.empty((T, R, k)), np.empty((T, R, m, k)), np.empty((T, R, m, k))
-        for r, draws in enumerate(self.draws):
-            draws.fill(start, c[:, r], a_bar[:, r], k_diag[:, r])
-        return c, a_bar, k_diag, linear_columns(a_bar, k_diag, self.psi, self.n)
 
 
 @dataclass(frozen=True)
@@ -111,12 +95,13 @@ def run_trial(plan: ExperimentPlan, n: int, trials):
                                                tol=plan.tol)
             except ConvergenceError:
                 statuses[row] = "baseline_failed"
-    source = _GeneratedBlocks(configs)
-    risk = plan.generator.risk()
-    limits = _Limits(RiskSpec(risk.eta, risk.gamma_tilde, source.psi), int(n) * source.d)
+    risk, d = plan.generator.risk(), plan.generator.budget()
+    psi = safety_coefficients(risk)
+    limits = _Limits(RiskSpec(risk.eta, risk.gamma_tilde, psi), int(n) * d)
+    rows = [RequestDraws(config) for config in configs]
 
     results: list[dict[str, MetricsReport]] = [{} for _ in seeds]
-    for (row, config), trace in zip(lanes, Lanes(source, lanes).run()):
+    for (row, config), trace in zip(lanes, Lanes(rows, int(n), d, psi, lanes).run()):
         results[row][config.variant] = build_report(limits, trace, baselines[row])
     return list(zip(seeds, statuses, results))
 

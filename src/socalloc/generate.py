@@ -17,15 +17,14 @@ a state dict built once from Python ints: counter [0, t, 0, 0], an empty
 buffer and no half-used 32-bit word, the state a fresh Philox at that
 counter starts in.  A block of requests draws each request's raw
 variates into one row of a (T, k + 2mk) buffer, and the model's scales
-and squares are applied to the whole block at once; a ``custom``
-sampler is called once per request, and its block is refused unless
-every coefficient is finite and every variance nonnegative.
+and squares are applied to the whole block at once.  The online lanes
+read requests through the same ``RequestDraws.fill``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -43,11 +42,9 @@ CHUNK = 256
 class GeneratorConfig:
     """Input model, problem dimensions, risk targets, and the seed.
 
-    ``experiment`` is one of ``uniform``, ``chi_square``, or ``custom``;
-    the custom tag requires ``sampler``, a callable (rng, m, k) ->
-    (c, a_bar, k_diag) drawing one request.  Construction refuses a
-    ``d`` of the wrong length or with an entry that is not finite and
-    positive, and risk targets that are invalid or not one per resource.
+    Construction refuses an unknown model, a ``d`` of the wrong length
+    or with an entry that is not finite and positive, and risk targets
+    that are invalid or not one per resource.
     """
 
     experiment: str
@@ -58,14 +55,11 @@ class GeneratorConfig:
     eta: tuple | None = None
     gamma_tilde: tuple | None = None
     seed: int = 0
-    sampler: Callable | None = None
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS + ("custom",):
+        if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; "
-                              f"expected one of {EXPERIMENTS + ('custom',)}")
-        if self.experiment == "custom" and self.sampler is None:
-            raise ConfigError("custom experiment requires a sampler callable")
+                              f"expected one of {EXPERIMENTS}")
         if min(self.n, self.m, self.k) < 1:
             raise DomainError("n, m, k must all be at least 1")
         d = self.budget()
@@ -107,7 +101,7 @@ class RequestDraws:
                       "state": {"counter": self.counter, "key": key},
                       "buffer": [0, 0, 0, 0], "buffer_pos": 4,
                       "has_uint32": 0, "uinteger": 0}
-        self.experiment, self.sampler = config.experiment, config.sampler
+        self.experiment = config.experiment
         self.m, self.k = config.m, config.k
 
     def _at(self, t: int) -> np.random.Generator:
@@ -128,15 +122,6 @@ class RequestDraws:
 
     def fill(self, start: int, c: np.ndarray, a_bar: np.ndarray, k_diag: np.ndarray):
         T, m, k = len(c), self.m, self.k
-        if self.experiment == "custom":
-            for i in range(T):
-                c[i], a_bar[i], k_diag[i] = self.sampler(self._at(start + i), m, k)
-            if not (np.isfinite(c).all() and np.isfinite(a_bar).all()
-                    and np.isfinite(k_diag).all() and (k_diag >= 0).all()):
-                raise DomainError(f"the sampler drew coefficients that are not finite, "
-                                  f"or a negative variance, in requests {start} to "
-                                  f"{start + T - 1}")
-            return
         # row i holds request start + i's variates in draw order: k for c,
         # then m*k for a_bar, then m*k for k_diag; a block is scaled at once
         mk = m * k

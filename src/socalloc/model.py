@@ -34,6 +34,13 @@ def _frozen(a, dtype=float) -> np.ndarray:
     return arr
 
 
+def _refuse(what: str, checks) -> None:
+    """One DomainError naming the text of every (text, ok) check that fails."""
+    problems = [text for text, ok in checks if not ok]
+    if problems:
+        raise DomainError(f"invalid {what}: " + "; ".join(problems))
+
+
 @dataclass(frozen=True)
 class RiskSpec:
     """Per-resource risk targets and the derived safety coefficients.
@@ -117,19 +124,14 @@ class Instance:
         rm = self.risk.m
         if rm is not None and rm != m:
             raise StructuralError(f"risk spec has {rm} entries for {m} resources")
-        problems = []
-        if not np.all(np.isfinite(self.d) & (self.d > 0)):
-            problems.append("budget must be positive and finite in every resource")
-        if not np.isfinite(self.c).all():
-            problems.append("revenues must be finite")
-        if not np.isfinite(self.a_bar).all():
-            problems.append("mean consumptions must be finite")
-        if not np.isfinite(self.k_diag).all():
-            problems.append("variances must be finite")
-        if (self.k_diag < 0).any():
-            problems.append("variances must be nonnegative")
-        if problems:
-            raise DomainError("invalid instance: " + "; ".join(problems))
+        _refuse("instance", (
+            ("budget must be positive and finite in every resource",
+             np.all(np.isfinite(self.d) & (self.d > 0))),
+            ("revenues must be finite", np.isfinite(self.c).all()),
+            ("mean consumptions must be finite", np.isfinite(self.a_bar).all()),
+            ("variances must be finite", np.isfinite(self.k_diag).all()),
+            ("variances must be nonnegative", not (self.k_diag < 0).any()),
+        ))
 
     @property
     def n(self) -> int:
@@ -171,17 +173,14 @@ class SolutionTrace:
         object.__setattr__(self, "decisions", tuple(self.decisions))
         object.__setattr__(self, "mean_consumption", _frozen(self.mean_consumption))
         object.__setattr__(self, "variance_accum", _frozen(self.variance_accum))
-        problems = []
-        if not np.isfinite(self.objective):
-            problems.append("objective must be finite")
-        if not np.isfinite(self.mean_consumption).all():
-            problems.append("mean consumptions must be finite")
-        if not np.all(np.isfinite(self.variance_accum) & (self.variance_accum >= 0)):
-            problems.append("accumulated variances must be finite and nonnegative")
-        if not (np.isfinite(self.max_dual_inf) and self.max_dual_inf >= 0):
-            problems.append("the peak price must be finite and nonnegative")
-        if problems:
-            raise DomainError("invalid trace: " + "; ".join(problems))
+        _refuse("trace", (
+            ("objective must be finite", np.isfinite(self.objective)),
+            ("mean consumptions must be finite", np.isfinite(self.mean_consumption).all()),
+            ("accumulated variances must be finite and nonnegative",
+             np.all(np.isfinite(self.variance_accum) & (self.variance_accum >= 0))),
+            ("the peak price must be finite and nonnegative",
+             np.isfinite(self.max_dual_inf) and self.max_dual_inf >= 0),
+        ))
 
 
 def soc_lhs(trace: SolutionTrace, instance: Instance) -> np.ndarray:
@@ -267,13 +266,23 @@ def _trace_to_dict(trace: SolutionTrace) -> dict:
     }
 
 
+def _json_field(doc: dict, name: str, types=(int, float), many: bool = False):
+    """``doc[name]`` if of one of ``types`` (with ``many``, a list of them),
+    else a DomainError naming the field; true and false are not numbers."""
+    value = doc[name]
+    if not (type(value) is list and all(type(v) in types for v in value) if many
+            else type(value) in types):
+        raise DomainError(f"field {name!r} has the wrong JSON type")
+    return value
+
+
 def _trace_from_dict(doc: dict) -> SolutionTrace:
     return SolutionTrace(
-        decisions=tuple(doc["decisions"]),
-        objective=float(doc["objective"]),
-        mean_consumption=doc["mean_consumption"],
-        variance_accum=doc["variance_accum"],
-        max_dual_inf=float(doc.get("max_dual_inf", 0.0)),
+        decisions=tuple(_json_field(doc, "decisions", (list,))),
+        objective=float(_json_field(doc, "objective")),
+        mean_consumption=_json_field(doc, "mean_consumption", many=True),
+        variance_accum=_json_field(doc, "variance_accum", many=True),
+        max_dual_inf=float(_json_field(doc, "max_dual_inf")) if "max_dual_inf" in doc else 0.0,
     )
 
 

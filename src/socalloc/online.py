@@ -26,8 +26,8 @@ lockstep over (B, m, k) arrays: one numpy call serves every lane, and
 the variant is a per-lane choice of priced columns and dual target.  A
 lane set holds runs of one n, such as the trials x variants of one
 point of an experiment's n-grid; :class:`OnlineSolver` and
-:func:`run_online` are the one-lane case.  Lanes read requests in
-blocks from a source, so a source may draw requests as they are needed.
+:func:`run_online` are the one-lane case.  Lanes fill request blocks
+from row sources, so a source may draw requests as they are needed.
 Each lane is strictly sequential, decisions are never revised, and lanes
 share nothing but their arrays: a lane's trace is bit-identical to the
 same run alone.
@@ -42,19 +42,9 @@ import numpy as np
 
 from .errors import ConfigError, StructuralError
 from .model import Instance, SolutionTrace
-from .transform import LinearizedInstance
+from .transform import LinearizedInstance, linear_columns
 
 VARIANTS = ("vanilla", "marginal", "marginal-dynamic")
-
-_ALIASES = {"marginal+dynamic": "marginal-dynamic", "marginal_dynamic": "marginal-dynamic"}
-
-
-def canonical_variant(name: str) -> str:
-    name = _ALIASES.get(name, name)
-    if name not in VARIANTS:
-        raise ConfigError(f"unknown variant {name!r}; expected one of {VARIANTS}")
-    return name
-
 
 @dataclass(frozen=True)
 class VariantConfig:
@@ -64,10 +54,11 @@ class VariantConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "variant", canonical_variant(self.variant))
+        if self.variant not in VARIANTS:
+            raise ConfigError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
 
 
-#: Lane-steps a lane set reads from its source at a time: a block of
+#: Lane-steps a lane set reads from its row sources at a time: a block of
 #: B lanes covers BLOCK // B steps (34 for 30 lanes), so that sources
 #: drawing requests as they go hold little, while few lanes still step
 #: through long blocks.
@@ -80,40 +71,39 @@ def tie_rng(seed: int, t: int) -> np.random.Generator:
     return np.random.default_rng((seed, t))
 
 
-class InstanceBlocks:
-    """Block source over one linearized instance: ``blocks(start, stop)``
-    returns (c, a_bar, k_diag, a_tilde) of requests start..stop-1 as
-    views of one row, shapes (T, 1, k) and (T, 1, m, k)."""
+class InstanceRows:
+    """Row source over one instance: ``fill(start, c, a_bar, k_diag)`` copies
+    requests start.. as :class:`~socalloc.generate.RequestDraws` draws them."""
 
-    def __init__(self, lin: LinearizedInstance):
-        base = lin.base
-        self.fields = (base.c, base.a_bar, base.k_diag, lin.a_tilde)
-        self.n, self.k = base.n, base.k
-        self.d, self.psi = base.d, base.risk.psi
+    def __init__(self, instance: Instance):
+        self.fields, self.k = (instance.c, instance.a_bar, instance.k_diag), instance.k
 
-    def __call__(self, start: int, stop: int):
-        return tuple(x[start:stop, None] for x in self.fields)
+    def fill(self, start: int, *out: np.ndarray):
+        for dst, src in zip(out, self.fields):
+            dst[...] = src[start:start + len(dst)]
 
 
 class Lanes:
     """B runs of the online rule, stepping in lockstep.
 
-    ``source`` hands out request blocks as :class:`InstanceBlocks` does
-    and carries the runs' common ``n``, ``k``, ``d`` and ``psi``.  Each
-    lane is a (row, config) pair: the config's variant runs on that row
-    of the blocks with the config's tie seed.  At step t every lane
-    prices its columns (the linear columns a_tilde for ``vanilla``; for
-    the marginal variants the exact cone-usage increase a_bar + psi *
-    (sqrt(Q + K) - sqrt(Q)) with Q the variance selected so far),
-    accepts the scheme of best strictly positive margin, drawing among
-    tied best schemes from ``tie_rng(seed, t)``, and takes the projected
-    dual step p <- max(p + (consumption - target)/sqrt(n), 0).  The
-    target is d, or for ``marginal-dynamic`` the remaining cone budget
-    spread over the remaining steps, max((n d - G)/(n - t), 0) with G
-    the exact cone usage so far.  ``prices`` holds the lanes' current
-    prices, one row per lane in the order given.  With ``record_steps``,
-    ``steps[i]`` holds lane i's (t, scheme, best margin, prices after
-    the step) per step.
+    ``rows`` holds one row source per instance, with ``k`` and
+    ``fill(start, c, a_bar, k_diag)`` as :class:`InstanceRows` and
+    :class:`~socalloc.generate.RequestDraws` have; the runs share ``n``,
+    ``d`` and ``psi``.  Each lane is a (row, config) pair: the config's
+    variant runs on that row with the config's tie seed.  At step t every
+    lane prices its columns (the linear columns a_tilde, computed here,
+    for ``vanilla``; for the marginal variants the exact cone-usage
+    increase a_bar + psi * (sqrt(Q + K) - sqrt(Q)) with Q the variance
+    selected so far), accepts the scheme of best strictly positive
+    margin, drawing among tied best schemes from ``tie_rng(seed, t)``,
+    and takes the projected dual step
+    p <- max(p + (consumption - target)/sqrt(n), 0).  The target is d,
+    or for ``marginal-dynamic`` the remaining cone budget spread over
+    the remaining steps, max((n d - G)/(n - t), 0) with G the exact cone
+    usage so far.  ``prices`` holds the lanes' current prices, one row
+    per lane in the order given.  With ``record_steps``, ``steps[i]``
+    holds lane i's (t, scheme, best margin, prices after the step) per
+    step.
 
     Every operation is elementwise per lane or a per-lane product, so a
     lane's arithmetic, and with it its trace, does not depend on the
@@ -122,7 +112,8 @@ class Lanes:
     generator are; they are not checked here.
     """
 
-    def __init__(self, source, lanes, record_steps: bool = False):
+    def __init__(self, rows, n: int, d: np.ndarray, psi: np.ndarray, lanes,
+                 record_steps: bool = False):
         lanes = list(lanes)
         if not lanes:
             raise StructuralError("a lane set needs at least one lane")
@@ -132,11 +123,11 @@ class Lanes:
         self._rows = np.array([lanes[i][0] for i in self._order], dtype=np.intp)
         self._seeds = [lanes[i][1].rng_seed for i in self._order]
         variants = [lanes[i][1].variant for i in self._order]
-        B, m, k, n = len(lanes), len(source.d), source.k, source.n
+        B, R, m, k = len(lanes), len(rows), len(d), rows[0].k
         self.block = T = max(1, BLOCK // B)
         mg = variants.count("vanilla")  # the first corrected lane
         dyn = B - variants.count("marginal-dynamic")  # the first dynamic lane
-        self.source, self.n, self.k = source, n, k
+        self._sources, self.n, self.k, self._psi = rows, n, k, psi
         self._mg, self._dyn = mg, dyn
         self.t = 0
         self.prices = np.zeros((B, m))
@@ -149,18 +140,20 @@ class Lanes:
         # Lane state; constants are spread to the shapes they meet, since
         # numpy calls on equal shapes cost less than broadcasting ones.
         self._mean_var = np.zeros((B, 1, 2, m))  # selected means and variances
-        self._target = np.tile(source.d, (B, 1, 1))
+        self._target = np.tile(d, (B, 1, 1))
         self._q_wide = np.zeros((B - mg, m, k))  # Q of each corrected lane
-        self._psi_wide = np.tile(source.psi[:, None], (B - mg, 1, k))
+        self._psi_wide = np.tile(psi[:, None], (B - mg, 1, k))
         self._step_wide = np.full((B - mg, 1, m), self._step_size)
         self._usage = np.zeros((B - dyn, 1, m))  # cone usage G
-        self._psi_usage = np.tile(source.psi, (B - dyn, 1, 1))
-        self._budget = np.tile(n * source.d, (B - dyn, 1, 1))
+        self._psi_usage = np.tile(psi, (B - dyn, 1, 1))
+        self._budget = np.tile(n * d, (B - dyn, 1, 1))
 
-        # Block buffers.  Along the scheme axis of _margins, _revenue and
-        # _chosen, index 0 is a zero column and index l + 1 is scheme l:
-        # the first maximal margin is at 0 exactly when no margin is
-        # strictly positive, and a pick of 0 selects nothing.
+        # Block buffers; column r of _draws is filled from row r.  Along
+        # the scheme axis of _margins, _revenue and _chosen, index 0 is a
+        # zero column and index l + 1 is scheme l: the first maximal
+        # margin is at 0 exactly when no margin is strictly positive, and
+        # a pick of 0 selects nothing.
+        self._draws = np.empty((T, R, k)), np.empty((T, R, m, k)), np.empty((T, R, m, k))
         self._columns = np.empty((T, B, m, k))  # what each lane prices
         self._variances = np.empty((T, B - mg, m, k))
         self._margins = np.zeros((T, B, 1, k + 1))
@@ -199,12 +192,14 @@ class Lanes:
         t0, n, k, mg, dyn = self.t, self.n, self.k, self._mg, self._dyn
         if not 0 < steps <= self.block or t0 + steps > n:
             raise StructuralError(f"cannot take {steps} steps at step {t0} of {n}")
-        c, a_bar, k_diag, a_tilde = self.source(t0, t0 + steps)
+        c, a_bar, k_diag = (x[:steps] for x in self._draws)
+        for r, source in enumerate(self._sources):
+            source.fill(t0, c[:, r], a_bar[:, r], k_diag[:, r])
         rows = self._rows
         B = len(rows)
         C, E, P, D, AK = (self._columns, self._margins, self._prices, self._picks,
                           self._chosen)
-        C[:steps, :mg] = a_tilde[:, rows[:mg]]
+        C[:steps, :mg] = linear_columns(a_bar, k_diag, self._psi, n)[:, rows[:mg]]
         C[:steps, mg:] = a_bar[:, rows[mg:]]
         self._variances[:steps] = k_diag[:, rows[mg:]]
         self._revenue[:steps, :, 1:] = c[:, rows]
@@ -313,7 +308,9 @@ class OnlineSolver:
                  config: VariantConfig = VariantConfig(),
                  record_steps: bool = False):
         self.config = config
-        self.lanes = Lanes(InstanceBlocks(lin), [(0, config)], record_steps)
+        base = lin.base
+        self.lanes = Lanes([InstanceRows(base)], base.n, base.d, base.risk.psi,
+                           [(0, config)], record_steps)
 
     @property
     def prices(self) -> np.ndarray:

@@ -181,23 +181,6 @@ def step(solver):
     return None if pick == 0 else pick - 1
 
 
-class StackedBlocks:
-    """Block source over linearized instances of one shape, n, d and psi,
-    for a lane set over many instances: ``blocks(start, stop)`` returns
-    (c, a_bar, k_diag, a_tilde) of requests start..stop-1, shapes
-    (T, R, k) and (T, R, m, k), where row r is ``lins[r]``."""
-
-    def __init__(self, lins):
-        base = lins[0].base
-        self.fields = [[lin.base.c for lin in lins], [lin.base.a_bar for lin in lins],
-                       [lin.base.k_diag for lin in lins], [lin.a_tilde for lin in lins]]
-        self.n, self.k, self.d, self.psi = base.n, base.k, base.d, base.risk.psi
-
-    def __call__(self, start: int, stop: int):
-        return tuple(np.stack([x[start:stop] for x in field], axis=1)
-                     for field in self.fields)
-
-
 def reference_stream(seed: int, t: int) -> np.random.Generator:
     """Request t's own fresh stream: a Philox keyed by the seed at counter
     t * 2**64."""

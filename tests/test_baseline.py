@@ -126,6 +126,15 @@ class TestMinimizeDual:
         assert cert.iterations > 0
         assert 0.0 <= cert.gap <= 1e-7 * max(abs(cert.value), 1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("value", math.nan), ("value", math.inf), ("p_star", [0.5, -0.1]),
+        ("p_star", [math.nan, 0.0]), ("iterations", -1), ("gap", -1e-3), ("gap", math.nan)])
+    def test_certificate_built_in_code_is_checked(self, field, value):
+        fields = dict(value=1.0, p_star=[0.5, 0.0], iterations=4, gap=0.0)
+        DualCertificate(**fields)
+        with pytest.raises(DomainError, match="invalid certificate"):
+            DualCertificate(**dict(fields, **{field: value}))
+
     def test_tol_must_be_positive(self):
         with pytest.raises(DomainError):
             minimize_dual(toy_m1(), tol=0.0)

@@ -172,6 +172,18 @@ def _drop_decision(doc):
     doc["decisions"].pop()
 
 
+def _shift_total(key):
+    """A corruption moving ``doc[key]`` (its first entry, for a list) by
+    about 1e-6, far beyond rounding and too little to matter otherwise."""
+    def corrupt(doc):
+        if key == "objective":
+            doc[key] = doc[key] * (1 + 1e-6) + 1e-6
+        else:
+            doc[key][0] = doc[key][0] * (1 + 1e-6) + 1e-6
+    corrupt.__name__ = f"shift_{key}"
+    return corrupt
+
+
 class TestBadTraceOrCertificate:
     """An evaluate input outside its domain, or a trace that does not fit
     its instance, is a data error and writes nothing."""
@@ -200,7 +212,8 @@ class TestBadTraceOrCertificate:
 
     @pytest.mark.parametrize("corrupt", [
         _set("decisions", 0, 99), _set("decisions", 1, -3), _set("decisions", 2, 1.0),
-        _set("decisions", 3, True), _drop_decision], ids=lambda corrupt: corrupt.__name__)
+        _set("decisions", 3, True), _drop_decision, _set("mean_consumption", None, [1.0]),
+        _set("variance_accum", None, [0.1, 0.2, 0.3])], ids=lambda corrupt: corrupt.__name__)
     def test_foreign_trace_exits_2(self, files, capsys, corrupt):
         code, err = self.evaluate(files, capsys, "trace", corrupt)
         assert code == 2 and "trace does not fit the instance" in err
@@ -232,6 +245,40 @@ class TestBadTraceOrCertificate:
             doc["p_star"][0] = -1.0
         _, err = self.evaluate(files, capsys, "certificate", corrupt)
         assert all(word in err for word in ("value", "prices", "iterations", "gap"))
+
+    @pytest.mark.parametrize("name, key, index, value", [
+        ("trace", "objective", None, None), ("trace", "decisions", None, None),
+        ("trace", "mean_consumption", None, "1.0"), ("trace", "variance_accum", 0, [0.5]),
+        ("certificate", "value", None, None), ("certificate", "p_star", None, ["a", 1]),
+        ("certificate", "iterations", None, 2.5), ("certificate", "gap", None, True)])
+    def test_wrong_json_type_exits_2(self, files, capsys, name, key, index, value):
+        code, err = self.evaluate(files, capsys, name, _set(key, index, value))
+        assert code == 2 and f"field {key!r} has the wrong JSON type" in err
+        assert not (files / "out.csv").exists()
+
+    def test_prices_of_wrong_length_exit_2(self, files, capsys):
+        code, err = self.evaluate(files, capsys, "certificate", _set("p_star", None, [0.1]))
+        assert code == 2 and "certificate does not fit the instance" in err
+        assert not (files / "out.csv").exists()
+
+    @pytest.mark.parametrize("corrupt", [
+        _set("objective", None, 123456.0), _shift_total("objective"),
+        _shift_total("mean_consumption"), _shift_total("variance_accum")],
+        ids=lambda corrupt: corrupt.__name__)
+    def test_edited_totals_exit_2(self, files, capsys, corrupt):
+        code, err = self.evaluate(files, capsys, "trace", corrupt)
+        assert code == 2 and "are not the sums of its decisions" in err
+        assert not (files / "out.csv").exists()
+
+    def test_totals_agree_with_the_decisions_of_every_variant(self, tmp_path, capsys):
+        # the lanes sum in step order, evaluate with numpy; both agree to 1e-9
+        assert run(tmp_path, "generate", "--experiment", "chi-square", "--n", "3000",
+                   "--m", "3", "--k", "4", "--eta", "0.9,0.8,0.7", "--seed", "5") == 0
+        for variant in ("vanilla", "marginal", "marginal-dynamic"):
+            assert run(tmp_path, "solve-online", "--instance", "instance.json",
+                       "--variant", variant) == 0
+            assert run(tmp_path, "evaluate", "--instance", "instance.json",
+                       "--trace", "trace.json") == 0
 
 
 class TestPipeline:

@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from socalloc import (ConfigError, DomainError, ExperimentPlan, GeneratorConfig,
-                      StructuralError, generate, request_fields, run_trial,
-                      stream_requests, to_soc)
+from socalloc import (ConfigError, DomainError, GeneratorConfig, StructuralError,
+                      generate, request_fields, stream_requests, to_soc)
 from socalloc.generate import CHUNK, RequestDraws
 
-from helpers import reference_request, reference_stream
+from helpers import reference_request
 
 
 class TestDeterminism:
@@ -66,7 +65,9 @@ class TestReferenceStreams:
         inst = generate(cfg)
         draws = RequestDraws(cfg)
         block = draws.block(3, 9)
-        for t in reversed(range(n)):  # one stream, moved backwards
+        # one stream, moved backwards, then back and forth: [0, n-1, 1, n-2, ...]
+        interleaved = [t for pair in zip(range(n), reversed(range(n))) for t in pair][:n]
+        for t in [*reversed(range(n)), *interleaved]:
             for got in (request_fields(cfg, t), draws(t),
                         (inst.c[t], inst.a_bar[t], inst.k_diag[t])):
                 assert all(np.array_equal(a, b) for a, b in zip(got, want[t]))
@@ -119,7 +120,7 @@ class TestBlocks:
         assert not any(a.flags.writeable for a in (inst.c, inst.a_bar, inst.k_diag))
 
     def test_fill_writes_strided_rows(self):
-        # the lanes' block source fills column r of (T, R, ...) arrays
+        # a lane set fills column r of its (T, R, ...) draw buffers from row r
         cfg = GeneratorConfig("chi_square", n=20, m=2, k=3, seed=3)
         draws = RequestDraws(cfg)
         c, a_bar, k_diag = np.zeros((6, 2, 3)), np.zeros((6, 2, 2, 3)), np.zeros((6, 2, 2, 3))
@@ -127,33 +128,6 @@ class TestBlocks:
         for got, want in zip((c, a_bar, k_diag), draws.block(4, 10)):
             assert np.array_equal(got[:, 1], want)
             assert not got[:, 0].any()
-
-
-class TestCustomSampler:
-    # a sampler drawing an odd number of 32-bit integers leaves half a
-    # 64-bit word behind; moving to the next request must drop it
-    @staticmethod
-    def sampler(rng, m, k):
-        c = rng.integers(0, 2 ** 32, size=k, dtype=np.uint32).astype(float)
-        a_bar = rng.random((m, k))
-        k_diag = rng.integers(0, 2 ** 32, size=(m, k), dtype=np.uint32).astype(float)
-        return c, a_bar, k_diag
-
-    @pytest.mark.parametrize("seed", (0, 2 ** 63 + 12345, 2 ** 64 + 5))
-    def test_rows_match_fresh_streams_in_any_order(self, seed):
-        n, m, k = 9, 1, 3
-        cfg = GeneratorConfig("custom", n=n, m=m, k=k, seed=seed, sampler=self.sampler)
-        want = [self.sampler(reference_stream(seed, t), m, k) for t in range(n)]
-        inst = generate(cfg)
-        rows = [(inst.c[t], inst.a_bar[t], inst.k_diag[t]) for t in range(n)]
-        draws = RequestDraws(cfg)
-        interleaved = [0, 8, 1, 7, 2, 6, 3, 5, 4]
-        for order in (range(n), reversed(range(n)), interleaved):
-            got = {t: draws(t) for t in order}
-            rows += [got[t] for t in range(n)]
-        rows += list(stream_requests(cfg))
-        for i, got in enumerate(rows):
-            assert all(np.array_equal(a, b) for a, b in zip(got, want[i % n]))
 
 
 class TestUniformModel:
@@ -205,18 +179,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             GeneratorConfig("weird", n=5, m=2, k=2)
 
-    def test_custom_requires_sampler(self):
-        with pytest.raises(ConfigError):
-            GeneratorConfig("custom", n=5, m=2, k=2)
-
-    def test_custom_sampler_used(self):
-        def sampler(rng, m, k):
-            return np.full(k, 2.0), np.ones((m, k)), np.zeros((m, k))
-
-        cfg = GeneratorConfig("custom", n=4, m=2, k=3, sampler=sampler)
-        inst = generate(cfg)
-        assert np.all(inst.c == 2.0)
-
     def test_dimensions_must_be_positive(self):
         with pytest.raises(DomainError):
             GeneratorConfig("uniform", n=0, m=2, k=2)
@@ -240,33 +202,3 @@ class TestConfig:
         with pytest.raises(DomainError):
             GeneratorConfig("uniform", n=5, m=2, k=2, d=d)
 
-
-class TestCustomSamplerChecked:
-    # a custom sampler is the generator's one input from outside the
-    # program, so its draws are checked where they are written
-    @staticmethod
-    def nan_revenue(rng, m, k):
-        c = rng.random(k)
-        c[-1] = np.nan
-        return c, rng.random((m, k)), rng.random((m, k))
-
-    @staticmethod
-    def negative_variance(rng, m, k):
-        return rng.random(k), rng.random((m, k)), -rng.random((m, k))
-
-    def config(self, sampler):
-        return GeneratorConfig("custom", n=300, m=2, k=3, eta=(0.9, 0.8), seed=5,
-                               sampler=sampler)
-
-    @pytest.mark.parametrize("sampler", ["nan_revenue", "negative_variance"])
-    def test_generate_refuses(self, sampler):
-        with pytest.raises(DomainError, match="sampler"):
-            generate(self.config(getattr(self, sampler)))
-
-    @pytest.mark.parametrize("compute_baseline", [True, False])
-    @pytest.mark.parametrize("sampler", ["nan_revenue", "negative_variance"])
-    def test_run_trial_refuses(self, sampler, compute_baseline):
-        plan = ExperimentPlan(self.config(getattr(self, sampler)), n_grid=(300,),
-                              trials=2, compute_baseline=compute_baseline)
-        with pytest.raises(DomainError, match="sampler"):
-            run_trial(plan, 300, range(2))

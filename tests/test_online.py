@@ -18,10 +18,10 @@ from hypothesis import strategies as hst
 from socalloc import (DomainError, GeneratorConfig, Instance, OnlineSolver,
                       RiskSpec, StructuralError, VariantConfig, generate,
                       linearize, run_online, soc_lhs, to_soc)
-from socalloc.online import VARIANTS, InstanceBlocks, Lanes, canonical_variant
+from socalloc.online import VARIANTS, InstanceRows, Lanes
 
-from helpers import (StackedBlocks, forced_run, priced_margins, projected_step,
-                     random_instance, step)
+from helpers import (forced_run, priced_margins, projected_step, random_instance,
+                     step)
 
 ETA_GRID = (0.65, 0.75, 0.85, 0.95)
 
@@ -397,6 +397,13 @@ def lane_set(instances, seeds):
     return lins, lanes
 
 
+def lanes_over(lins, lanes):
+    """A lane set whose row r reads ``lins[r].base``."""
+    base = lins[0].base
+    return Lanes([InstanceRows(lin.base) for lin in lins], base.n, base.d,
+                 base.risk.psi, lanes)
+
+
 class TestLanes:
     @pytest.mark.parametrize("experiment", ["uniform", "chi_square"])
     def test_lanes_match_single_runs(self, experiment):
@@ -406,7 +413,7 @@ class TestLanes:
         instances = [to_soc(generate(GeneratorConfig(
             experiment, n=300, m=4, k=5, eta=ETA_GRID, seed=seed))) for seed in seeds]
         lins, lanes = lane_set(instances, seeds)
-        traces = Lanes(StackedBlocks(lins), lanes).run()
+        traces = lanes_over(lins, lanes).run()
         assert len(traces) == len(lanes)
         for (row, config), trace in zip(lanes, traces):
             assert_same_trace(trace, run_online(instances[row], lins[row], config))
@@ -424,7 +431,7 @@ class TestLanes:
         lins, lanes = lane_set(instances, [1, 2, 3])
         # the same instance twice under two seeds: ties make them part ways
         lanes += [(0, VariantConfig("vanilla", 4))]
-        traces = Lanes(StackedBlocks(lins), lanes).run()
+        traces = lanes_over(lins, lanes).run()
         for (row, config), trace in zip(lanes, traces):
             assert_same_trace(trace, run_online(instances[row], lins[row], config))
         assert traces[0].decisions != traces[-1].decisions
@@ -434,18 +441,31 @@ class TestLanes:
         instances = [to_soc(generate(GeneratorConfig(
             "uniform", n=100, m=4, k=5, eta=ETA_GRID, seed=seed))) for seed in seeds]
         lins, lanes = lane_set(instances, seeds)
-        forward = Lanes(StackedBlocks(lins), lanes).run()
-        backward = Lanes(StackedBlocks(lins), lanes[::-1]).run()[::-1]
+        forward = lanes_over(lins, lanes).run()
+        backward = lanes_over(lins, lanes[::-1]).run()[::-1]
         for a, b in zip(forward, backward):
             assert_same_trace(a, b)
 
-    def test_one_instance_blocks_are_views(self):
-        inst, lin = experiment_one(40, seed=43)
-        blocks = InstanceBlocks(lin)(5, 9)
-        for got, want in zip(blocks, (inst.c, inst.a_bar, inst.k_diag, lin.a_tilde)):
-            assert got.shape == (4, 1) + want.shape[1:]
-            assert np.shares_memory(got, want)
-            assert np.array_equal(got[:, 0], want[5:9])
+    def test_instance_rows_fill_strided_columns(self):
+        # a lane set fills column r of its (T, R, ...) draw buffers from row r
+        inst, _ = experiment_one(40, seed=43)
+        rows = InstanceRows(inst)
+        out = np.zeros((4, 2, 5)), np.zeros((4, 2, 4, 5)), np.zeros((4, 2, 4, 5))
+        rows.fill(5, *(x[:, 1] for x in out))
+        assert rows.k == inst.k
+        for got, want in zip(out, (inst.c, inst.a_bar, inst.k_diag)):
+            assert np.array_equal(got[:, 1], want[5:9])
+            assert not got[:, 0].any()
+
+    def test_vanilla_prices_the_certified_columns(self):
+        # the vanilla lanes price the columns the baseline certifies, bit for bit
+        instances = [experiment_one(50, seed)[0] for seed in (44, 45)]
+        lins, lanes = lane_set(instances, [44, 45])
+        group = lanes_over(lins, lanes)
+        group.advance(1)
+        assert group._mg == 2 and sorted(group._rows[:2]) == [0, 1]
+        for i, row in enumerate(group._rows[:2]):
+            assert np.array_equal(group._columns[0, i], lins[row].a_tilde[0])
 
     def test_nonfinite_coefficients_refused(self):
         rng = np.random.default_rng(42)
@@ -473,8 +493,8 @@ class TestProperties:
         if coarse:
             instances = [coarsened(inst) for inst in instances]
         lins, lanes = lane_set(instances, [seed + row for row in range(rows)])
-        full = Lanes(StackedBlocks(lins), lanes).run()
-        prefix = Lanes(StackedBlocks(lins), lanes).run(limit=limit)
+        full = lanes_over(lins, lanes).run()
+        prefix = lanes_over(lins, lanes).run(limit=limit)
         for (row, config), lane_full, lane_prefix in zip(lanes, full, prefix):
             alone = run_online(instances[row], lins[row], config)
             again = run_online(instances[row], lins[row], config)
@@ -487,10 +507,6 @@ class TestProperties:
 
 
 class TestVariantNames:
-    def test_canonical_names(self):
-        assert canonical_variant("marginal+dynamic") == "marginal-dynamic"
-        assert canonical_variant("vanilla") == "vanilla"
-
     def test_unknown_variant_rejected(self):
         from socalloc import ConfigError
         with pytest.raises(ConfigError):
