@@ -2,11 +2,16 @@
 
 Subcommands compose through files:
 
-    socalloc generate     -> instance.json
+    socalloc generate     -> instance.json   (+ instance.json.npz, see below)
     socalloc solve-online -> trace.json      (needs instance.json)
     socalloc baseline     -> certificate.json
     socalloc evaluate     -> metrics.csv     (instance + trace [+ certificate])
     socalloc experiment   -> out/metrics.csv, aggregate.json, scaling.json
+
+``generate`` also writes ``<out>.npz``, a binary copy of the instance's
+arrays with the SHA-256 of the JSON it wrote.  Readers take the arrays
+from it while that digest matches and decode the JSON otherwise; the
+JSON is the record, and deleting the copy is always safe.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 """

@@ -10,7 +10,10 @@ skipped) or an ``int`` in ``range(k)``.
 from __future__ import annotations
 
 import json
+import os
+import zipfile
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
@@ -205,64 +208,28 @@ def soc_lhs(trace: SolutionTrace, instance: Instance) -> np.ndarray:
 # are lossless.
 # ---------------------------------------------------------------------------
 
+#: The risk arrays, in ``RiskSpec``'s field order.
+_RISK_FIELDS = ("eta", "gamma_tilde", "psi")
+
+
+def _risk_arrays(risk: RiskSpec) -> dict:
+    return {name: getattr(risk, name) for name in _RISK_FIELDS
+            if getattr(risk, name) is not None}
+
+
 def _instance_to_dict(instance: Instance) -> dict:
-    risk: dict = {}
-    if instance.risk.eta is not None:
-        risk["eta"] = instance.risk.eta.tolist()
-    if instance.risk.gamma_tilde is not None:
-        risk["gamma_tilde"] = instance.risk.gamma_tilde.tolist()
-    if instance.risk.psi is not None:
-        risk["psi"] = instance.risk.psi.tolist()
     return {
         "n": instance.n,
         "m": instance.m,
         "k": instance.k,
         "d": instance.d.tolist(),
-        "risk": risk,
+        "risk": {name: v.tolist() for name, v in _risk_arrays(instance.risk).items()},
         "requests": [
             {"c": instance.c[t].tolist(),
              "a_bar": instance.a_bar[t].tolist(),
              "k_diag": instance.k_diag[t].tolist()}
             for t in range(instance.n)
         ],
-    }
-
-
-def _instance_from_dict(doc: dict) -> Instance:
-    risk_doc = doc.get("risk") or {}
-    risk = RiskSpec(
-        eta=risk_doc.get("eta"),
-        gamma_tilde=risk_doc.get("gamma_tilde"),
-        psi=risk_doc.get("psi"),
-    )
-    reqs = doc["requests"]
-    c = np.array([r["c"] for r in reqs])
-    a_bar = np.array([r["a_bar"] for r in reqs])
-    k_diag = np.array([r["k_diag"] for r in reqs])
-    inst = Instance(c, a_bar, k_diag, doc["d"], risk)
-    for name in ("n", "m", "k"):
-        if name in doc and doc[name] != getattr(inst, name):
-            raise StructuralError(
-                f"declared {name}={doc[name]} does not match request data "
-                f"({getattr(inst, name)})")
-    return inst
-
-
-def save_instance(instance: Instance, path) -> None:
-    Path(path).write_text(json.dumps(_instance_to_dict(instance)))
-
-
-def load_instance(path) -> Instance:
-    return _instance_from_dict(json.loads(Path(path).read_text()))
-
-
-def _trace_to_dict(trace: SolutionTrace) -> dict:
-    return {
-        "decisions": [d if d is None else int(d) for d in trace.decisions],
-        "objective": trace.objective,
-        "mean_consumption": trace.mean_consumption.tolist(),
-        "variance_accum": trace.variance_accum.tolist(),
-        "max_dual_inf": trace.max_dual_inf,
     }
 
 
@@ -274,6 +241,111 @@ def _json_field(doc: dict, name: str, types=(int, float), many: bool = False):
             else type(value) in types):
         raise DomainError(f"field {name!r} has the wrong JSON type")
     return value
+
+
+def _request_field(reqs: list, name: str, depth: int) -> np.ndarray:
+    """Field ``name`` of every request, stacked; a DomainError names the field
+    unless each holds a rectangular list ``depth`` deep of JSON numbers."""
+    rows = [r[name] for r in reqs]
+    items = rows
+    for level in range(depth + 1):
+        if not set(map(type, items)) <= ({list} if level < depth else {int, float}):
+            raise DomainError(f"field {name!r} has the wrong JSON type")
+        if level < depth:
+            items = list(chain.from_iterable(items))
+    try:
+        return np.array(rows, dtype=float)
+    except (ValueError, OverflowError) as err:
+        raise DomainError(f"field {name!r} is ragged or out of the range of doubles") from err
+
+
+def _instance_from_dict(doc) -> Instance:
+    if type(doc) is not dict:
+        raise DomainError("an instance file holds one JSON object")
+    risk_doc = {} if doc.get("risk") is None else _json_field(doc, "risk", (dict,))
+    risk = RiskSpec(**{name: _json_field(risk_doc, name, many=True)
+                       for name in _RISK_FIELDS if risk_doc.get(name) is not None})
+    reqs = _json_field(doc, "requests", (list,))
+    if not reqs or not set(map(type, reqs)) <= {dict}:
+        raise DomainError("field 'requests' must be a nonempty list of objects")
+    inst = Instance(_request_field(reqs, "c", 1), _request_field(reqs, "a_bar", 2),
+                    _request_field(reqs, "k_diag", 2), _json_field(doc, "d", many=True), risk)
+    for name in ("n", "m", "k"):
+        if name in doc and _json_field(doc, name, (int,)) != getattr(inst, name):
+            raise StructuralError(
+                f"declared {name}={doc[name]} does not match request data "
+                f"({getattr(inst, name)})")
+    return inst
+
+
+def _sidecar(path: Path) -> Path:
+    """The binary copy ``<path>.npz`` of an instance file's arrays."""
+    return path.with_name(path.name + ".npz")
+
+
+def _digest(data: bytes) -> np.ndarray:
+    """SHA-256 of ``data`` as 32 uint8 values, the form a sidecar stores."""
+    import hashlib  # here, not at the top: its import adds about 3 ms to every start-up
+    return np.frombuffer(hashlib.sha256(data).digest(), dtype=np.uint8)
+
+
+def save_instance(instance: Instance, path) -> None:
+    """Write ``instance`` to the JSON file ``path``, the record, and its
+    arrays with the SHA-256 of that JSON to the sidecar ``<path>.npz``.
+
+    The sidecar spares :func:`load_instance` the JSON decode.  It is
+    written under a temporary name and then renamed, so no reader sees
+    half of one; if it cannot be written the JSON alone stands.
+    """
+    path = Path(path)
+    data = json.dumps(_instance_to_dict(instance)).encode()
+    path.write_bytes(data)
+    arrays = {name: getattr(instance, name) for name in ("c", "a_bar", "k_diag", "d")}
+    arrays.update(_risk_arrays(instance.risk))
+    sidecar = _sidecar(path)
+    tmp = sidecar.with_name(f"{sidecar.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("wb") as fh:
+            np.savez(fh, sha256=_digest(data), **arrays)
+        os.replace(tmp, sidecar)
+    except OSError:
+        tmp.unlink(missing_ok=True)
+
+
+def _sidecar_arrays(path: Path, data: bytes) -> dict | None:
+    """The arrays of ``path``'s sidecar if it holds the digest of ``data``,
+    the file's JSON bytes; None if it is missing, stale or unreadable."""
+    try:
+        with np.load(_sidecar(path), allow_pickle=False) as z:
+            if not np.array_equal(z["sha256"], _digest(data)):
+                return None
+            names = ("c", "a_bar", "k_diag", "d") + tuple(r for r in _RISK_FIELDS if r in z)
+            return {name: z[name] for name in names}
+    except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile):
+        return None
+
+
+def load_instance(path) -> Instance:
+    """The instance in the JSON file ``path``.  Its arrays come from the
+    sidecar :func:`save_instance` wrote when that holds the digest of these
+    JSON bytes, else from the JSON; either way the constructors check them."""
+    path = Path(path)
+    data = path.read_bytes()
+    arrays = _sidecar_arrays(path, data)
+    if arrays is None:
+        return _instance_from_dict(json.loads(data))
+    return Instance(arrays["c"], arrays["a_bar"], arrays["k_diag"], arrays["d"],
+                    RiskSpec(*(arrays.get(name) for name in _RISK_FIELDS)))
+
+
+def _trace_to_dict(trace: SolutionTrace) -> dict:
+    return {
+        "decisions": [d if d is None else int(d) for d in trace.decisions],
+        "objective": trace.objective,
+        "mean_consumption": trace.mean_consumption.tolist(),
+        "variance_accum": trace.variance_accum.tolist(),
+        "max_dual_inf": trace.max_dual_inf,
+    }
 
 
 def _trace_from_dict(doc: dict) -> SolutionTrace:

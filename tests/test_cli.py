@@ -134,29 +134,6 @@ def _psi_inconsistent_with_eta(doc):
     doc["risk"]["psi"] = [9.0, 9.0]
 
 
-class TestBadInstanceFile:
-    """A well-formed instance file with values outside the model's domain
-    is a data error for every command that reads one."""
-
-    @pytest.mark.parametrize("command", ["solve-online", "baseline", "evaluate"])
-    @pytest.mark.parametrize("corrupt", [_zero_budget, _negative_variance, _nan_revenue,
-                                         _eta_out_of_range, _psi_inconsistent_with_eta])
-    def test_exits_2(self, tmp_path, capsys, command, corrupt):
-        assert run(tmp_path, "generate", "--experiment", "uniform", "--n", "10",
-                   "--m", "2", "--k", "3", "--eta", "0.9,0.8", "--seed", "4") == 0
-        assert run(tmp_path, "solve-online", "--instance", "instance.json") == 0
-        doc = json.loads((tmp_path / "instance.json").read_text())
-        corrupt(doc)
-        (tmp_path / "bad.json").write_text(json.dumps(doc))
-        argv = [command, "--instance", "bad.json", "--out", "out.file"]
-        if command == "evaluate":
-            argv += ["--trace", "trace.json"]
-        capsys.readouterr()
-        assert run(tmp_path, *argv) == 2
-        assert "data error" in capsys.readouterr().err
-        assert not (tmp_path / "out.file").exists()
-
-
 def _set(key, index, value):
     """A corruption writing ``value`` to ``doc[key]`` (or ``doc[key][index]``)."""
     def corrupt(doc):
@@ -166,6 +143,54 @@ def _set(key, index, value):
             doc[key][index] = value
     corrupt.__name__ = f"{key}{'' if index is None else [index]}={value!r}"
     return corrupt
+
+
+def _request(field, value):
+    """A corruption writing ``value`` to field ``field`` of request 2."""
+    def corrupt(doc):
+        doc["requests"][2][field] = value
+    corrupt.__name__ = f"requests[2].{field}={value!r}"
+    return corrupt
+
+
+def _ragged_revenues(doc):
+    doc["requests"][2]["c"].pop()
+
+
+def _eta_not_a_list(doc):
+    doc["risk"]["eta"] = "x"
+
+
+def _top_level_list(doc):
+    return [doc]
+
+
+class TestBadInstanceFile:
+    """An instance file with values outside the model's domain, or of the
+    wrong JSON type, is a data error for every command that reads one."""
+
+    @pytest.mark.parametrize("command", ["solve-online", "baseline", "evaluate"])
+    @pytest.mark.parametrize("corrupt", [
+        _zero_budget, _negative_variance, _nan_revenue, _eta_out_of_range,
+        _psi_inconsistent_with_eta,
+        # wrong JSON types; true and false are not numbers
+        _set("d", None, "x"), _set("requests", None, None), _set("requests", None, []),
+        _set("risk", None, [1]), _request("c", ["a", 1, 2]), _request("c", [True, 1, 2]),
+        _ragged_revenues, _request("a_bar", None), _eta_not_a_list, _top_level_list])
+    def test_exits_2(self, tmp_path, capsys, command, corrupt):
+        assert run(tmp_path, "generate", "--experiment", "uniform", "--n", "10",
+                   "--m", "2", "--k", "3", "--eta", "0.9,0.8", "--seed", "4") == 0
+        assert run(tmp_path, "solve-online", "--instance", "instance.json") == 0
+        doc = json.loads((tmp_path / "instance.json").read_text())
+        replaced = corrupt(doc)
+        (tmp_path / "bad.json").write_text(json.dumps(doc if replaced is None else replaced))
+        argv = [command, "--instance", "bad.json", "--out", "out.file"]
+        if command == "evaluate":
+            argv += ["--trace", "trace.json"]
+        capsys.readouterr()
+        assert run(tmp_path, *argv) == 2
+        assert "data error" in capsys.readouterr().err
+        assert not (tmp_path / "out.file").exists()
 
 
 def _drop_decision(doc):
@@ -341,6 +366,58 @@ class TestPipeline:
                    "--out", "res") == 0
         body = (tmp_path / "res" / "metrics.csv").read_text().splitlines()
         assert len(body) == 2 + 2  # two cells, one variant each
+
+
+def _pipeline(tmp_path, drop_sidecar=False):
+    """Run generate -> baseline -> solve-online --trace -> evaluate in
+    ``tmp_path``; with ``drop_sidecar``, the readers find no sidecar."""
+    assert run(tmp_path, "generate", "--experiment", "chi-square", "--n", "300",
+               "--m", "4", "--k", "5", "--eta", ETA, "--gamma-tilde", "0.3,0.3,0.3,0.3",
+               "--seed", "8") == 0
+    if drop_sidecar:
+        (tmp_path / "instance.json.npz").unlink()
+    assert run(tmp_path, "baseline", "--instance", "instance.json") == 0
+    assert run(tmp_path, "solve-online", "--instance", "instance.json",
+               "--variant", "marginal-dynamic", "--seed", "8", "--trace") == 0
+    assert run(tmp_path, "evaluate", "--instance", "instance.json", "--trace", "trace.json",
+               "--baseline", "certificate.json") == 0
+
+
+class TestInstanceSidecar:
+    """generate writes instance.json.npz beside instance.json, and every
+    reader takes the arrays from it while it holds the JSON's digest."""
+
+    def test_outputs_do_not_depend_on_the_sidecar(self, tmp_path, capsys):
+        (tmp_path / "with").mkdir()
+        (tmp_path / "without").mkdir()
+        _pipeline(tmp_path / "with")
+        _pipeline(tmp_path / "without", drop_sidecar=True)
+        names = ["certificate.json", "instance.json", "metrics.csv", "trace.json",
+                 "trace.steps.csv"]
+        assert sorted(p.name for p in (tmp_path / "with").iterdir()) == sorted(
+            names + ["instance.json.npz"])
+        for name in names:
+            assert ((tmp_path / "with" / name).read_bytes()
+                    == (tmp_path / "without" / name).read_bytes()), name
+
+    def test_directory_at_the_sidecar_name(self, tmp_path, capsys):
+        (tmp_path / "instance.json.npz").mkdir()
+        _pipeline(tmp_path)
+        assert (tmp_path / "instance.json.npz").is_dir()
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_nan_in_a_fresh_sidecar_exits_2(self, tmp_path, capsys):
+        _pipeline(tmp_path)
+        sidecar = tmp_path / "instance.json.npz"
+        with np.load(sidecar) as z:
+            arrays = dict(z)
+        arrays["c"][4, 1] = np.nan
+        np.savez(sidecar, **arrays)  # the digest still matches instance.json
+        capsys.readouterr()
+        for argv in (["baseline"], ["solve-online"], ["evaluate", "--trace", "trace.json"]):
+            assert run(tmp_path, *argv, "--instance", "instance.json", "--out", "out.file") == 2
+            assert "revenues must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out.file").exists()
 
 
 class TestPipelineEquivalence:

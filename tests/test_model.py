@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 from socalloc import (ConfigError, DomainError, GeneratorConfig, Instance, RiskSpec,
                       SolutionTrace, StructuralError, generate, load_instance,
                       load_trace, save_instance, save_trace, soc_lhs, to_soc)
+from socalloc import model
 from socalloc.model import (_instance_from_dict, _instance_to_dict, _trace_from_dict,
                             _trace_to_dict)
 
@@ -306,6 +307,13 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def same_instance(a: Instance, b: Instance) -> bool:
+    return (all(same_bits(getattr(a, name), getattr(b, name))
+                for name in ("c", "a_bar", "k_diag", "d"))
+            and all(same_bits(getattr(a.risk, name), getattr(b.risk, name))
+                    for name in ("eta", "gamma_tilde", "psi")))
+
+
 class TestFileRoundTrip:
     @settings(max_examples=80, deadline=None)
     @given(inst=edge_instances(), trace=edge_traces())
@@ -313,12 +321,12 @@ class TestFileRoundTrip:
         with tempfile.TemporaryDirectory() as tmp:
             save_instance(inst, Path(tmp) / "instance.json")
             save_trace(trace, Path(tmp) / "trace.json")
-            inst_back = load_instance(Path(tmp) / "instance.json")
+            from_sidecar = load_instance(Path(tmp) / "instance.json")
+            (Path(tmp) / "instance.json.npz").unlink()
+            from_json = load_instance(Path(tmp) / "instance.json")
             trace_back = load_trace(Path(tmp) / "trace.json")
-        for name in ("c", "a_bar", "k_diag", "d"):
-            assert same_bits(getattr(inst_back, name), getattr(inst, name)), name
-        for name in ("eta", "gamma_tilde", "psi"):
-            assert same_bits(getattr(inst_back.risk, name), getattr(inst.risk, name)), name
+        for inst_back in (from_sidecar, from_json):
+            assert same_instance(inst_back, inst)
         assert trace_back.decisions == trace.decisions
         for name in ("objective", "mean_consumption", "variance_accum", "max_dual_inf"):
             assert same_bits(getattr(trace_back, name), getattr(trace, name)), name
@@ -339,3 +347,80 @@ class TestFileRoundTrip:
             path.write_text(json.dumps(doc))  # NaN, Infinity, -Infinity literals
             with pytest.raises(DomainError):
                 load_instance(path)
+
+
+def _rewrite_sidecar(change):
+    """A spoiler rewriting the sidecar's arrays through ``change``, which
+    keeps its digest unless it edits it."""
+    def spoil(path):
+        with np.load(path) as z:
+            arrays = dict(z)
+        change(arrays)
+        np.savez(path, **arrays)
+    spoil.__name__ = change.__name__
+    return spoil
+
+
+def truncated(path):
+    path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+
+
+def not_a_zip(path):
+    path.write_bytes(b"not a zip file")
+
+
+def empty(path):
+    path.write_bytes(b"")
+
+
+def missing_array(arrays):
+    del arrays["k_diag"]
+
+
+def short_digest(arrays):
+    arrays["sha256"] = arrays["sha256"][:31]
+
+
+def object_array(arrays):
+    arrays["c"] = np.array([None], dtype=object)  # loads only with pickling
+
+
+class TestSidecar:
+    """save_instance writes <path>.npz beside the JSON; load_instance takes
+    the arrays from it while it holds the JSON's digest, else decodes the JSON."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        inst = to_soc(random_instance(np.random.default_rng(21), n=7, m=2, k=3,
+                                      eta=(0.6, 0.9), gamma_tilde=(0.2, 0.4)))
+        save_instance(inst, tmp_path / "instance.json")
+        return inst, tmp_path / "instance.json"
+
+    def test_fresh_sidecar_is_read_in_place_of_the_json(self, saved, monkeypatch):
+        inst, path = saved
+        assert sorted(p.name for p in path.parent.iterdir()) == ["instance.json",
+                                                                "instance.json.npz"]
+
+        def decode(doc):
+            raise AssertionError("the JSON was decoded")
+        monkeypatch.setattr(model, "_instance_from_dict", decode)
+        assert same_instance(load_instance(path), inst)
+
+    def test_edited_json_is_read_over_a_stale_sidecar(self, saved):
+        inst, path = saved
+        doc = json.loads(path.read_text())
+        doc["requests"][3]["a_bar"][1][2] = 0.125
+        path.write_text(json.dumps(doc))
+        back = load_instance(path)
+        expect = inst.a_bar.copy()
+        expect[3, 1, 2] = 0.125
+        assert same_bits(back.a_bar, expect) and same_bits(back.c, inst.c)
+
+    @pytest.mark.parametrize("spoil", [truncated, not_a_zip, empty,
+                                       _rewrite_sidecar(missing_array),
+                                       _rewrite_sidecar(short_digest),
+                                       _rewrite_sidecar(object_array)])
+    def test_unusable_sidecar_falls_back_to_the_json(self, saved, spoil):
+        inst, path = saved
+        spoil(path.parent / "instance.json.npz")
+        assert same_instance(load_instance(path), inst)
