@@ -30,7 +30,8 @@ from .errors import ConvergenceError, DomainError, SocAllocError
 from .experiment import ExperimentPlan, run_experiment
 from .generate import GeneratorConfig, generate, stream_requests
 from .metrics import build_report, csv_header, csv_row
-from .model import Instance, RiskSpec, load_instance, load_trace, save_instance, save_trace
+from .model import (Instance, RiskSpec, _decode_json, load_instance, load_trace,
+                    save_instance, save_trace)
 from .online import VARIANTS, OnlineSolver, VariantConfig
 from .transform import linearize, safety_coefficients, to_soc
 
@@ -154,8 +155,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_solve_online(args) -> int:
     instance = to_soc(load_instance(args.instance))
-    lin = linearize(instance)
-    solver = OnlineSolver(lin, VariantConfig(args.variant, args.seed),
+    solver = OnlineSolver(instance, VariantConfig(args.variant, args.seed),
                           record_steps=args.trace)
     trace = solver.run()
     save_trace(trace, args.out)
@@ -215,7 +215,8 @@ def _cmd_evaluate(args) -> int:
         raise DomainError("the trace's objective or totals are not the sums of its decisions")
     baseline = None
     if args.baseline is not None:
-        baseline = DualCertificate.from_dict(json.loads(Path(args.baseline).read_text()))
+        baseline = DualCertificate.from_dict(
+            _decode_json(Path(args.baseline).read_bytes(), args.baseline))
         if baseline.p_star.shape != (m,):
             raise DomainError(f"certificate does not fit the instance: it needs {m} prices")
     report = build_report(instance, trace, baseline)

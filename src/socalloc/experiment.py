@@ -41,7 +41,8 @@ DEFAULT_VARIANTS = tuple(VariantConfig(v) for v in
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """A generator template swept over an n-grid with repeated trials."""
+    """A generator template swept over an n-grid with repeated trials;
+    construction refuses a plan without trials or grid points."""
 
     generator: GeneratorConfig
     n_grid: tuple
@@ -51,6 +52,11 @@ class ExperimentPlan:
     master_seed: int = 0
     tol: float = 1e-6
     compute_baseline: bool = True
+
+    def __post_init__(self):
+        if self.trials < 1 or not len(self.n_grid):
+            raise ConfigError(f"a plan needs at least one trial and a nonempty n-grid "
+                              f"(trials={self.trials}, n_grid={tuple(self.n_grid)})")
 
 
 def trial_seed(master_seed: int, n: int, trial: int) -> int:

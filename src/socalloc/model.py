@@ -70,22 +70,22 @@ class RiskSpec:
         lengths = {len(v) for v in (eta, cap, psi) if v is not None}
         if len(lengths) > 1:
             raise StructuralError(f"risk spec entries differ in length: {sorted(lengths)}")
-        problems = []
-        if eta is not None and not np.all((eta > 0) & (eta < 1)):
-            problems.append("confidence levels must lie strictly inside (0, 1)")
-        if cap is not None and not np.all(np.isfinite(cap) & (cap > 0)):
-            problems.append("normalized caps must be finite and positive")
-        if psi is not None:
-            if not np.all(np.isfinite(psi) & (psi >= 0)):
-                problems.append("safety coefficients must be finite and nonnegative")
-            elif not problems and (eta is not None or cap is not None):
-                expect = [safety_coefficient(None if eta is None else float(eta[j]),
-                                             None if cap is None else float(cap[j]))
-                          for j in range(len(psi))]
-                if not np.allclose(psi, expect, atol=1e-9):
-                    problems.append("safety coefficients inconsistent with risk targets")
-        if problems:
-            raise DomainError("invalid risk spec: " + "; ".join(problems))
+        _refuse("risk spec", (
+            ("confidence levels must lie strictly inside (0, 1)",
+             eta is None or np.all((eta > 0) & (eta < 1))),
+            ("normalized caps must be finite and positive",
+             cap is None or np.all(np.isfinite(cap) & (cap > 0))),
+            ("safety coefficients must be finite and nonnegative",
+             psi is None or np.all(np.isfinite(psi) & (psi >= 0))),
+        ))
+        # consistency is checked on valid values only, so that
+        # safety_coefficient never sees an eta outside (0, 1)
+        if psi is not None and (eta is not None or cap is not None):
+            expect = [safety_coefficient(None if eta is None else float(eta[j]),
+                                         None if cap is None else float(cap[j]))
+                      for j in range(len(psi))]
+            _refuse("risk spec", (("safety coefficients inconsistent with risk targets",
+                                   np.allclose(psi, expect, atol=1e-9)),))
 
     @property
     def m(self) -> int | None:
@@ -259,6 +259,15 @@ def _request_field(reqs: list, name: str, depth: int) -> np.ndarray:
         raise DomainError(f"field {name!r} is ragged or out of the range of doubles") from err
 
 
+def _decode_json(data: bytes, path):
+    """The JSON document ``data``, the bytes of the file ``path``; a
+    DomainError names a file that is not UTF-8 text."""
+    try:
+        return json.loads(data)
+    except UnicodeDecodeError as err:
+        raise DomainError(f"{path} is not UTF-8 text ({err.reason} at byte {err.start})") from err
+
+
 def _instance_from_dict(doc) -> Instance:
     if type(doc) is not dict:
         raise DomainError("an instance file holds one JSON object")
@@ -333,7 +342,7 @@ def load_instance(path) -> Instance:
     data = path.read_bytes()
     arrays = _sidecar_arrays(path, data)
     if arrays is None:
-        return _instance_from_dict(json.loads(data))
+        return _instance_from_dict(_decode_json(data, path))
     return Instance(arrays["c"], arrays["a_bar"], arrays["k_diag"], arrays["d"],
                     RiskSpec(*(arrays.get(name) for name in _RISK_FIELDS)))
 
@@ -363,4 +372,4 @@ def save_trace(trace: SolutionTrace, path) -> None:
 
 
 def load_trace(path) -> SolutionTrace:
-    return _trace_from_dict(json.loads(Path(path).read_text()))
+    return _trace_from_dict(_decode_json(Path(path).read_bytes(), path))

@@ -27,7 +27,8 @@ the variant is a per-lane choice of priced columns and dual target.  A
 lane set holds runs of one n, such as the trials x variants of one
 point of an experiment's n-grid; :class:`OnlineSolver` and
 :func:`run_online` are the one-lane case.  Lanes fill request blocks
-from row sources, so a source may draw requests as they are needed.
+from row sources, so a source may draw requests as they are needed,
+and price each block's linear columns themselves.
 Each lane is strictly sequential, decisions are never revised, and lanes
 share nothing but their arrays: a lane's trace is bit-identical to the
 same run alone.
@@ -294,27 +295,24 @@ class Lanes:
 
 
 class OnlineSolver:
-    """One irrevocable pass over ``lin.base``: a lane set of one lane.
+    """One irrevocable pass over ``instance``, which carries psi (see
+    :func:`~socalloc.transform.to_soc`): a lane set of one lane.
 
     ``run(limit)`` steps to ``limit`` and returns the trace so far; the
     decision at step t depends only on data revealed at steps <= t and
     the seed, so a run truncated after any prefix reproduces the full
     run's first decisions exactly.  With ``record_steps``, ``steps``
     holds (t, scheme, best margin, prices after the update) per step.
-    ``prices`` is the current price vector, writable in place.
     """
 
-    def __init__(self, lin: LinearizedInstance,
+    def __init__(self, instance: Instance,
                  config: VariantConfig = VariantConfig(),
                  record_steps: bool = False):
+        if instance.risk.psi is None:
+            raise ConfigError("instance has no safety coefficients; apply to_soc first")
         self.config = config
-        base = lin.base
-        self.lanes = Lanes([InstanceRows(base)], base.n, base.d, base.risk.psi,
-                           [(0, config)], record_steps)
-
-    @property
-    def prices(self) -> np.ndarray:
-        return self.lanes.prices[0]
+        self.lanes = Lanes([InstanceRows(instance)], instance.n, instance.d,
+                           instance.risk.psi, [(0, config)], record_steps)
 
     @property
     def steps(self):
@@ -330,8 +328,8 @@ def run_online(instance: Instance, lin: LinearizedInstance,
     """One pass of the configured variant; returns the completed trace.
 
     ``lin`` must be the linearization of ``instance`` itself, not of
-    another instance of the same shape.
+    another instance of the same shape; the run reads only ``instance``.
     """
     if lin.base is not instance:
         raise StructuralError("linearization was built from a different instance")
-    return OnlineSolver(lin, config).run(limit=limit)
+    return OnlineSolver(instance, config).run(limit=limit)

@@ -162,17 +162,17 @@ def forced_run(instance, decisions, variant: str = "marginal", start: float = 10
     projected step never clips, so the charged total is read off the
     price path: sum_t cons_t = (p_n - p_0) * sqrt(n) + n * d.
     """
-    from socalloc import Instance, OnlineSolver, VariantConfig, linearize
+    from socalloc import Instance, OnlineSolver, VariantConfig
     n, _, k = instance.a_bar.shape
     c = np.full((n, k), -1e6)
     for t, l in enumerate(decisions):
         if l is not None:
             c[t, l] = 1e6
     forced = Instance(c, instance.a_bar, instance.k_diag, instance.d, instance.risk)
-    solver = OnlineSolver(linearize(forced), VariantConfig(variant))
-    solver.prices[:] = start
+    solver = OnlineSolver(forced, VariantConfig(variant))
+    solver.lanes.prices[0] = start
     trace = solver.run()
-    return trace, (solver.prices - start) * math.sqrt(n) + n * instance.d
+    return trace, (solver.lanes.prices[0] - start) * math.sqrt(n) + n * instance.d
 
 
 def step(solver):

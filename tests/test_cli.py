@@ -105,6 +105,13 @@ class TestExitCodes:
                    "--trace", "trace.json", "--baseline", "old.json") == 2
         assert "gap" in capsys.readouterr().err
 
+    def test_plan_without_trials_is_data_error(self, tmp_path, capsys):
+        assert run(tmp_path, "experiment", "--experiment", "uniform", "--n-grid", "10",
+                   "--trials", "0", "--m", "2", "--k", "3", "--eta", "0.9,0.9",
+                   "--out", "res") == 2
+        assert "at least one trial" in capsys.readouterr().err
+        assert not (tmp_path / "res").exists()
+
     def test_other_plan_in_same_out_is_data_error(self, tmp_path, capsys):
         common = ("experiment", "--experiment", "uniform", "--n-grid", "10",
                   "--trials", "1", "--k", "3", "--variants", "vanilla",
@@ -191,6 +198,48 @@ class TestBadInstanceFile:
         assert run(tmp_path, *argv) == 2
         assert "data error" in capsys.readouterr().err
         assert not (tmp_path / "out.file").exists()
+
+
+class TestNonUtf8File:
+    """A file holding a byte that is not UTF-8 is a data error naming the
+    file, for each kind of file a command reads."""
+
+    @pytest.fixture
+    def files(self, tmp_path, capsys):
+        assert run(tmp_path, "generate", "--experiment", "uniform", "--n", "10",
+                   "--m", "2", "--k", "3", "--eta", "0.9,0.8", "--seed", "4") == 0
+        assert run(tmp_path, "solve-online", "--instance", "instance.json") == 0
+        assert run(tmp_path, "baseline", "--instance", "instance.json") == 0
+        capsys.readouterr()
+        return tmp_path
+
+    @staticmethod
+    def spoil(tmp_path, name):
+        # a 0xff byte inside the first string of the document
+        data = (tmp_path / name).read_bytes()
+        (tmp_path / "bad.json").write_bytes(data.replace(b'"', b'"\xff', 1))
+
+    def expect_data_error(self, tmp_path, capsys, *argv):
+        assert run(tmp_path, *argv, "--out", "out.file") == 2
+        err = capsys.readouterr().err
+        assert "bad.json is not UTF-8 text" in err and "Traceback" not in err
+        assert not (tmp_path / "out.file").exists()
+
+    @pytest.mark.parametrize("command", ["solve-online", "baseline", "evaluate"])
+    def test_instance_file(self, files, capsys, command):
+        self.spoil(files, "instance.json")
+        extra = ["--trace", "trace.json"] if command == "evaluate" else []
+        self.expect_data_error(files, capsys, command, "--instance", "bad.json", *extra)
+
+    def test_trace_file(self, files, capsys):
+        self.spoil(files, "trace.json")
+        self.expect_data_error(files, capsys, "evaluate", "--instance", "instance.json",
+                               "--trace", "bad.json")
+
+    def test_certificate_file(self, files, capsys):
+        self.spoil(files, "certificate.json")
+        self.expect_data_error(files, capsys, "evaluate", "--instance", "instance.json",
+                               "--trace", "trace.json", "--baseline", "bad.json")
 
 
 def _drop_decision(doc):
@@ -381,6 +430,25 @@ def _pipeline(tmp_path, drop_sidecar=False):
                "--variant", "marginal-dynamic", "--seed", "8", "--trace") == 0
     assert run(tmp_path, "evaluate", "--instance", "instance.json", "--trace", "trace.json",
                "--baseline", "certificate.json") == 0
+
+
+class TestSolveOnline:
+    def test_builds_no_linearization(self, tmp_path, capsys, monkeypatch):
+        # the lanes price their own columns, so solve-online reads the instance alone
+        assert run(tmp_path, "generate", "--experiment", "chi-square", "--n", "200",
+                   "--m", "3", "--k", "4", "--eta", "0.9,0.8,0.7", "--seed", "6") == 0
+        argv = ("solve-online", "--instance", "instance.json", "--variant", "marginal",
+                "--seed", "6", "--trace", "--out")
+        assert run(tmp_path, *argv, "plain.json") == 0
+
+        def refuse(instance):
+            raise AssertionError("solve-online called linearize")
+
+        monkeypatch.setattr("socalloc.cli.linearize", refuse)
+        assert run(tmp_path, *argv, "patched.json") == 0
+        for suffix in (".json", ".steps.csv"):
+            assert ((tmp_path / f"plain{suffix}").read_bytes()
+                    == (tmp_path / f"patched{suffix}").read_bytes()), suffix
 
 
 class TestInstanceSidecar:

@@ -70,6 +70,14 @@ class TestRunTrial:
         assert run_trial(plan, 20, []) == []
 
 
+class TestPlan:
+    @pytest.mark.parametrize("trials, n_grid", [(0, (10,)), (-1, (10,)), (1, ())])
+    def test_plan_without_cells_refused(self, trials, n_grid):
+        gen = GeneratorConfig("uniform", n=10, m=4, k=5, eta=ETA_GRID, seed=0)
+        with pytest.raises(ConfigError, match="at least one trial"):
+            ExperimentPlan(generator=gen, n_grid=n_grid, trials=trials)
+
+
 class TestRunExperiment:
     def test_smoke_files_and_rows(self, tmp_path):
         plan = small_plan(tmp_path, trials=1, n_grid=(10,))

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from socalloc import (DomainError, GeneratorConfig, Instance, OnlineSolver,
+from socalloc import (ConfigError, DomainError, GeneratorConfig, Instance, OnlineSolver,
                       RiskSpec, StructuralError, VariantConfig, generate,
                       linearize, run_online, soc_lhs, to_soc)
 from socalloc.online import VARIANTS, InstanceRows, Lanes
@@ -28,8 +28,7 @@ ETA_GRID = (0.65, 0.75, 0.85, 0.95)
 
 def experiment_one(n, seed, eta=ETA_GRID):
     cfg = GeneratorConfig("uniform", n=n, m=4, k=5, eta=eta, seed=seed)
-    inst = to_soc(generate(cfg))
-    return inst, linearize(inst)
+    return to_soc(generate(cfg))
 
 
 def hand_solver(c, cols, prices=None, *, n=1, t=0, config=VariantConfig()):
@@ -40,9 +39,9 @@ def hand_solver(c, cols, prices=None, *, n=1, t=0, config=VariantConfig()):
     m, k = cols.shape
     inst = Instance(np.tile(c, (n, 1)), np.tile(cols, (n, 1, 1)),
                     np.zeros((n, m, k)), np.ones(m), RiskSpec(psi=np.zeros(m)))
-    solver = OnlineSolver(linearize(inst), config, record_steps=True)
+    solver = OnlineSolver(inst, config, record_steps=True)
     if prices is not None:
-        solver.prices[:] = prices
+        solver.lanes.prices[0] = prices
     solver.lanes.t = t
     return solver
 
@@ -120,17 +119,17 @@ class TestDualUpdate:
         p = np.array([0.4, 0.2])
         solver = hand_solver([10.0], [[1.0], [1.0]], p, n=100)  # consumes d
         assert step(solver) == 0
-        assert np.array_equal(solver.prices, p)
+        assert np.array_equal(solver.lanes.prices[0], p)
 
     def test_arithmetic(self):
         solver = hand_solver([1.0], [[0.7]], [0.2], n=100)
         assert step(solver) == 0
-        assert solver.prices[0] == pytest.approx(0.17, abs=1e-15)
+        assert solver.lanes.prices[0, 0] == pytest.approx(0.17, abs=1e-15)
 
     def test_projection_binds(self):
         solver = hand_solver([-1.0], [[0.5]], [0.01], n=100)
         assert step(solver) is None  # 0.01 + (0 - 1) / 10 < 0
-        assert solver.prices[0] == 0.0
+        assert solver.lanes.prices[0, 0] == 0.0
 
 
 class TestStepRecorder:
@@ -140,7 +139,7 @@ class TestStepRecorder:
         rng = np.random.default_rng(30)
         inst = to_soc(random_instance(rng, n=60, m=3, k=4, eta=(0.7, 0.8, 0.9)))
         lin = linearize(inst)
-        solver = OnlineSolver(lin, VariantConfig("vanilla", 30), record_steps=True)
+        solver = OnlineSolver(inst, VariantConfig("vanilla", 30), record_steps=True)
         prices = np.zeros(inst.m)
         for t in range(inst.n):
             best = max(priced_margins(prices, inst.c[t], lin.a_tilde[t]))
@@ -172,11 +171,10 @@ def marginal_costs(a_bar, k_diag, psi, taken=None):
                 c, a, kd = ([[1.0]] + c, [np.reshape(taken[0], (m, 1))] + a,
                             [np.reshape(taken[1], (m, 1))] + kd)
             inst = Instance(c, a, kd, np.ones(m), RiskSpec(psi=psi))
-            solver = OnlineSolver(linearize(inst), VariantConfig("marginal"),
-                                  record_steps=True)
+            solver = OnlineSolver(inst, VariantConfig("marginal"), record_steps=True)
             if taken is not None:
                 assert step(solver) == 0
-            solver.prices[:] = np.eye(m)[j]
+            solver.lanes.prices[0] = np.eye(m)[j]
             step(solver)
             cost[j, l] = -solver.steps[-1][2]
     return cost
@@ -188,11 +186,11 @@ def after_step(variant, c, a_bar, prices, d, n, steps):
     m, k = np.shape(a_bar)
     inst = Instance(np.tile(c, (n, 1)), np.tile(a_bar, (n, 1, 1)), np.zeros((n, m, k)),
                     d, RiskSpec(psi=np.zeros(m)))
-    solver = OnlineSolver(linearize(inst), VariantConfig(variant))
-    solver.prices[:] = prices
+    solver = OnlineSolver(inst, VariantConfig(variant))
+    solver.lanes.prices[0] = prices
     for _ in range(steps):
         step(solver)
-    return solver.prices.copy()
+    return solver.lanes.prices[0].copy()
 
 
 class TestMarginalCost:
@@ -242,12 +240,12 @@ class TestDynamicBudget:
         c = np.r_[np.full(10, 100.0), -np.ones(n - 10)][:, None]
         inst = Instance(c, np.full((n, 1, 1), 5.5), np.zeros((n, 1, 1)), [1.0],
                         RiskSpec(psi=[0.0]))
-        solver = OnlineSolver(linearize(inst), VariantConfig("marginal-dynamic"))
+        solver = OnlineSolver(inst, VariantConfig("marginal-dynamic"))
         assert solver.run(limit=10).decisions == (0,) * 10
-        before = solver.prices.copy()
+        before = solver.lanes.prices[0].copy()
         assert before[0] > 0.0
         assert step(solver) is None
-        assert solver.prices[0] == before[0]
+        assert solver.lanes.prices[0, 0] == before[0]
 
     def test_on_schedule_consumption_keeps_target(self):
         d = np.array([1.0, 0.5])
@@ -261,11 +259,17 @@ class TestRunOnline:
         rng = np.random.default_rng(3)
         inst = random_instance(rng, n=30, psi=np.ones(4))
         inst = Instance(-inst.c, inst.a_bar, inst.k_diag, inst.d, inst.risk)
-        solver = OnlineSolver(linearize(inst), record_steps=True)
+        solver = OnlineSolver(inst, record_steps=True)
         trace = solver.run()
         assert all(d is None for d in trace.decisions)
         assert trace.objective == 0.0
         assert all(np.array_equal(prices, np.zeros(4)) for *_, prices in solver.steps)
+
+    def test_instance_without_psi_refused(self):
+        # the solver prices with psi, which only to_soc derives
+        inst = generate(GeneratorConfig("uniform", n=10, m=2, k=3, eta=(0.9, 0.8)))
+        with pytest.raises(ConfigError, match="to_soc"):
+            OnlineSolver(inst)
 
     def test_single_step_toy(self):
         inst = Instance(c=[[1.0]], a_bar=[[[0.5]]], k_diag=[[[0.0]]],
@@ -275,23 +279,23 @@ class TestRunOnline:
         assert trace.objective == 1.0
 
     def test_prefix_causality(self):
-        inst, lin = experiment_one(200, seed=21)
-        full = run_online(inst, lin, VariantConfig("vanilla", 21))
-        prefix = run_online(inst, lin, VariantConfig("vanilla", 21), limit=100)
+        inst = experiment_one(200, seed=21)
+        full = OnlineSolver(inst, VariantConfig("vanilla", 21)).run()
+        prefix = OnlineSolver(inst, VariantConfig("vanilla", 21)).run(limit=100)
         assert full.decisions[:100] == prefix.decisions
 
     def test_prefix_causality_corrected_variants(self):
-        inst, lin = experiment_one(120, seed=22)
+        inst = experiment_one(120, seed=22)
         for variant in ("marginal", "marginal-dynamic"):
-            full = run_online(inst, lin, VariantConfig(variant, 22))
-            prefix = run_online(inst, lin, VariantConfig(variant, 22), limit=60)
+            full = OnlineSolver(inst, VariantConfig(variant, 22)).run()
+            prefix = OnlineSolver(inst, VariantConfig(variant, 22)).run(limit=60)
             assert full.decisions[:60] == prefix.decisions
 
     def test_bitwise_determinism(self):
-        inst, lin = experiment_one(150, seed=23)
+        inst = experiment_one(150, seed=23)
         for variant in ("vanilla", "marginal", "marginal-dynamic"):
-            a = run_online(inst, lin, VariantConfig(variant, 23))
-            b = run_online(inst, lin, VariantConfig(variant, 23))
+            a = OnlineSolver(inst, VariantConfig(variant, 23)).run()
+            b = OnlineSolver(inst, VariantConfig(variant, 23)).run()
             assert a.decisions == b.decisions
             assert a.objective == b.objective
             assert np.array_equal(a.mean_consumption, b.mean_consumption)
@@ -310,14 +314,14 @@ class TestRunOnline:
     def test_dual_prices_stay_bounded(self):
         # prices never exceed max-revenue / min-budget by more than one
         for seed in range(10):
-            inst, lin = experiment_one(400, seed=seed)
-            trace = run_online(inst, lin, VariantConfig("vanilla", seed))
+            inst = experiment_one(400, seed=seed)
+            trace = OnlineSolver(inst, VariantConfig("vanilla", seed)).run()
             bound = inst.c.max() / inst.d.min() + 1.0
             assert trace.max_dual_inf < bound
 
     def test_step_beyond_end_rejected(self):
-        inst, lin = experiment_one(10, seed=25)
-        solver = OnlineSolver(lin)
+        inst = experiment_one(10, seed=25)
+        solver = OnlineSolver(inst)
         solver.run()
         with pytest.raises(StructuralError):
             step(solver)
@@ -325,10 +329,9 @@ class TestRunOnline:
     def test_corrected_variants_collapse_to_vanilla_at_zero_psi(self):
         rng = np.random.default_rng(26)
         inst = random_instance(rng, n=80, psi=np.zeros(4))
-        lin = linearize(inst)
-        base = run_online(inst, lin, VariantConfig("vanilla", 7))
+        base = OnlineSolver(inst, VariantConfig("vanilla", 7)).run()
         for variant in ("marginal", "marginal-dynamic"):
-            other = run_online(inst, lin, VariantConfig(variant, 7))
+            other = OnlineSolver(inst, VariantConfig(variant, 7)).run()
             if variant == "marginal":
                 assert other.decisions == base.decisions
             else:
@@ -338,8 +341,8 @@ class TestRunOnline:
 
     def test_marginal_run_charges_telescope_to_cone_usage(self):
         # the run's own decisions, replayed with their charges on record
-        inst, lin = experiment_one(250, seed=27)
-        decisions = run_online(inst, lin, VariantConfig("marginal", 27)).decisions
+        inst = experiment_one(250, seed=27)
+        decisions = OnlineSolver(inst, VariantConfig("marginal", 27)).run().decisions
         trace, charged = forced_run(inst, decisions)
         assert trace.decisions == decisions
         assert np.allclose(charged, soc_lhs(trace, inst), rtol=1e-10, atol=1e-10)
@@ -389,18 +392,16 @@ def coarsened(inst):
                     (np.round(2 * np.sqrt(inst.k_diag)) / 2) ** 2, inst.d, inst.risk)
 
 
-def lane_set(instances, seeds):
-    """Every variant on every instance, each lane with its instance's seed."""
-    lins = [linearize(inst) for inst in instances]
-    lanes = [(row, VariantConfig(v, seed)) for row, seed in enumerate(seeds)
-             for v in VARIANTS]
-    return lins, lanes
+def lane_set(seeds):
+    """Every variant on every row, each lane with its row's seed."""
+    return [(row, VariantConfig(v, seed)) for row, seed in enumerate(seeds)
+            for v in VARIANTS]
 
 
-def lanes_over(lins, lanes):
-    """A lane set whose row r reads ``lins[r].base``."""
-    base = lins[0].base
-    return Lanes([InstanceRows(lin.base) for lin in lins], base.n, base.d,
+def lanes_over(instances, lanes):
+    """A lane set whose row r reads ``instances[r]``."""
+    base = instances[0]
+    return Lanes([InstanceRows(inst) for inst in instances], base.n, base.d,
                  base.risk.psi, lanes)
 
 
@@ -412,11 +413,11 @@ class TestLanes:
         seeds = [11, 12, 13, 14]
         instances = [to_soc(generate(GeneratorConfig(
             experiment, n=300, m=4, k=5, eta=ETA_GRID, seed=seed))) for seed in seeds]
-        lins, lanes = lane_set(instances, seeds)
-        traces = lanes_over(lins, lanes).run()
+        lanes = lane_set(seeds)
+        traces = lanes_over(instances, lanes).run()
         assert len(traces) == len(lanes)
         for (row, config), trace in zip(lanes, traces):
-            assert_same_trace(trace, run_online(instances[row], lins[row], config))
+            assert_same_trace(trace, OnlineSolver(instances[row], config).run())
 
     def test_ties_draw_per_lane(self):
         # coarse coefficients make ties common; each lane draws its own
@@ -428,27 +429,27 @@ class TestLanes:
                               rng.integers(0, 2, (n, m, k)) / 4, np.ones(m),
                               RiskSpec(psi=np.array([0.0, 0.5])))
                      for _ in range(3)]
-        lins, lanes = lane_set(instances, [1, 2, 3])
+        lanes = lane_set([1, 2, 3])
         # the same instance twice under two seeds: ties make them part ways
         lanes += [(0, VariantConfig("vanilla", 4))]
-        traces = lanes_over(lins, lanes).run()
+        traces = lanes_over(instances, lanes).run()
         for (row, config), trace in zip(lanes, traces):
-            assert_same_trace(trace, run_online(instances[row], lins[row], config))
+            assert_same_trace(trace, OnlineSolver(instances[row], config).run())
         assert traces[0].decisions != traces[-1].decisions
 
     def test_lane_order_is_free(self):
         seeds = [5, 6]
         instances = [to_soc(generate(GeneratorConfig(
             "uniform", n=100, m=4, k=5, eta=ETA_GRID, seed=seed))) for seed in seeds]
-        lins, lanes = lane_set(instances, seeds)
-        forward = lanes_over(lins, lanes).run()
-        backward = lanes_over(lins, lanes[::-1]).run()[::-1]
+        lanes = lane_set(seeds)
+        forward = lanes_over(instances, lanes).run()
+        backward = lanes_over(instances, lanes[::-1]).run()[::-1]
         for a, b in zip(forward, backward):
             assert_same_trace(a, b)
 
     def test_instance_rows_fill_strided_columns(self):
         # a lane set fills column r of its (T, R, ...) draw buffers from row r
-        inst, _ = experiment_one(40, seed=43)
+        inst = experiment_one(40, seed=43)
         rows = InstanceRows(inst)
         out = np.zeros((4, 2, 5)), np.zeros((4, 2, 4, 5)), np.zeros((4, 2, 4, 5))
         rows.fill(5, *(x[:, 1] for x in out))
@@ -459,13 +460,13 @@ class TestLanes:
 
     def test_vanilla_prices_the_certified_columns(self):
         # the vanilla lanes price the columns the baseline certifies, bit for bit
-        instances = [experiment_one(50, seed)[0] for seed in (44, 45)]
-        lins, lanes = lane_set(instances, [44, 45])
-        group = lanes_over(lins, lanes)
+        instances = [experiment_one(50, seed) for seed in (44, 45)]
+        group = lanes_over(instances, lane_set([44, 45]))
         group.advance(1)
         assert group._mg == 2 and sorted(group._rows[:2]) == [0, 1]
         for i, row in enumerate(group._rows[:2]):
-            assert np.array_equal(group._columns[0, i], lins[row].a_tilde[0])
+            assert np.array_equal(group._columns[0, i],
+                                  linearize(instances[row]).a_tilde[0])
 
     def test_nonfinite_coefficients_refused(self):
         rng = np.random.default_rng(42)
@@ -492,16 +493,16 @@ class TestProperties:
         instances = [random_instance(rng, n=n, m=m, k=k, psi=psi) for _ in range(rows)]
         if coarse:
             instances = [coarsened(inst) for inst in instances]
-        lins, lanes = lane_set(instances, [seed + row for row in range(rows)])
-        full = lanes_over(lins, lanes).run()
-        prefix = lanes_over(lins, lanes).run(limit=limit)
+        lanes = lane_set([seed + row for row in range(rows)])
+        full = lanes_over(instances, lanes).run()
+        prefix = lanes_over(instances, lanes).run(limit=limit)
         for (row, config), lane_full, lane_prefix in zip(lanes, full, prefix):
-            alone = run_online(instances[row], lins[row], config)
-            again = run_online(instances[row], lins[row], config)
+            alone = OnlineSolver(instances[row], config).run()
+            again = OnlineSolver(instances[row], config).run()
             assert len(alone.decisions) == n
             assert lane_prefix.decisions == alone.decisions[:limit]
-            assert run_online(instances[row], lins[row], config,
-                              limit=limit).decisions == alone.decisions[:limit]
+            assert (OnlineSolver(instances[row], config).run(limit=limit).decisions
+                    == alone.decisions[:limit])
             assert_same_trace(again, alone)
             assert_same_trace(lane_full, alone)
 

@@ -56,11 +56,14 @@ WRAPPED = {"socalloc.experiment": ("run_trial", "generate", "linearize", "minimi
 SPANS_SCRIPT = """
 import sys
 from spans import Spans
-from socalloc import GeneratorConfig, OnlineSolver, generate, linearize, to_soc
+from socalloc import (GeneratorConfig, OnlineSolver, VariantConfig, generate, linearize,
+                      run_online, to_soc)
 spans = Spans().install("socalloc.experiment").install("socalloc.cli")
-lin = linearize(to_soc(generate(GeneratorConfig("uniform", n=20, m=2, k=3, eta=(0.9, 0.8)))))
-OnlineSolver(lin).run()
-assert {info for name, *_, info in spans.records if name == "online.run"} == {("vanilla", 20)}
+soc = to_soc(generate(GeneratorConfig("uniform", n=20, m=2, k=3, eta=(0.9, 0.8))))
+OnlineSolver(soc).run()
+run_online(soc, linearize(soc), VariantConfig("marginal"))  # as perfbench/verify.py calls it
+assert {info for name, *_, info in spans.records
+        if name == "online.run"} == {("vanilla", 20), ("marginal", 20)}
 print("ok")
 """
 
