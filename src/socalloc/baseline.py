@@ -4,9 +4,12 @@ By strong duality the relaxation's optimum is the minimum over p >= 0 of
 f(p) = p . b + sum_t max(0, max_l (c_t - p . A_t)[l]), which one pass
 over the requests evaluates exactly.  ``minimize_dual`` minimizes an
 entropic smoothing of f (Nesterov, Math. Program. 103, 2005) by damped
-Newton steps and certifies each stage's prices by the exact f there, an
-upper bound by weak duality, and a lower bound from a fractional
-solution recovered there.  Every step is deterministic.
+Newton steps to a smoothed KKT residual of min(1e-6, tol), one smoothed
+pass each, and evaluates f exactly at each stage's prices in one pass:
+an upper bound by weak duality.  Every pass also carries a fractional
+solution: its softmax weights or its greedy selection.  The best
+revenue among them, scaled down to fit every row, is the lower bound.
+Every step is deterministic.
 """
 
 from __future__ import annotations
@@ -81,13 +84,21 @@ def dual_value_and_subgradient(prices: np.ndarray,
     return float(prices @ b + best[t].sum()), b - lin.columns[:, t, choice[t]].sum(axis=1)
 
 
+def _fitted(revenue: float, used: np.ndarray, b: np.ndarray) -> float:
+    """Revenue of a fractional solution that uses ``used`` of each row,
+    scaled down to fit every row; that of x = 0 if it is negative."""
+    return max(float((b / np.maximum(used, b)).min()) * revenue, 0.0)
+
+
 def _smoothed(prices: np.ndarray, lin: LinearizedInstance, mu: float):
-    """f_mu, its gradient and its Hessian at ``prices``, in one pass whose
-    temporaries are (n, k) or (m, CHUNK k).
+    """f_mu, its gradient, its Hessian and a primal lower bound at
+    ``prices``, in one pass whose temporaries are (n, k) or (m, CHUNK k).
 
     With pi_t the softmax weights of request t, the gradient is b less
     sum_t A_t pi_t and the Hessian is sum_t (A_t diag(pi_t) A_t' -
-    (A_t pi_t)(A_t pi_t)') / mu, each a product over the flat columns."""
+    (A_t pi_t)(A_t pi_t)') / mu, each a product over the flat columns.
+    The weights are a fractional solution (they sum to at most 1 per
+    request), and the bound is its revenue pi . c, scaled to fit."""
     b, m, k = lin.base.budget, lin.base.m, lin.base.k
     # each (n, k) or (m, CHUNK k) array is allocated once and then worked
     # in place: numpy reduces a short contiguous axis slowly, and exp is
@@ -112,46 +123,8 @@ def _smoothed(prices: np.ndarray, lin: LinearizedInstance, mu: float):
         mean_outer += mean @ mean.T
     hessian = (second - mean_outer) / mu
     return (float(prices @ b + (top + mu * np.log(z)).sum()), b - used,
-            (hessian + hessian.T) / 2)  # weighted @ part.T rounds unevenly
-
-
-def _certify(prices: np.ndarray, lin: LinearizedInstance) -> tuple[float, float]:
-    """Exact dual value at ``prices`` and a primal lower bound (two passes).
-
-    The bound is the revenue of a fractional solution that fits every
-    row: each request takes its best option at ``prices`` (option k
-    rejects); the (request, option) pairs losing least reduced value,
-    one per positive price plus ties, shift fractions of their requests
-    to make the priced rows tight (least squares over [0, 1]); a row
-    that still overflows scales the solution down."""
-    value, _ = dual_value_and_subgradient(prices, lin)
-    n, _, k = lin.a_tilde.shape
-    c, b = lin.base.c, lin.base.budget
-    reduced = np.concatenate([_reduced_values(prices, lin), np.zeros((n, 1))], axis=1)
-    rows = np.arange(n)
-    first = reduced.argmax(axis=1)
-    loss = reduced[rows, first][:, None] - reduced
-    loss[rows, first] = np.inf
-
-    def columns(t, option):  # consumption (len(t), m) and revenue of the options
-        take, scheme = option < k, np.minimum(option, k - 1)
-        return lin.a_tilde[t, :, scheme] * take[:, None], c[t, scheme] * take
-
-    use, gain = columns(rows, first)
-    used, revenue = use.sum(axis=0), float(gain.sum())
-    priced = prices > 0
-    s = min(int(priced.sum()), n * k)
-    if s:
-        cut = np.partition(loss, s - 1, axis=None)[s - 1]
-        t, option = np.divmod(np.flatnonzero(loss <= cut), k + 1)
-        alt_use, alt_gain = columns(t, option)
-        shift = alt_use - use[t]
-        alpha = np.linalg.lstsq(shift[:, priced].T, (b - used)[priced], rcond=None)[0]
-        alpha = np.clip(alpha, 0.0, 1.0)
-        alpha /= np.maximum(np.bincount(t, alpha, n)[t], 1.0)  # at most all of a request
-        used = used + alpha @ shift
-        revenue += float(alpha @ (alt_gain - gain[t]))
-    return value, max(float((b / np.maximum(used, b)).min()) * revenue, 0.0)
+            (hessian + hessian.T) / 2,  # weighted @ part.T rounds unevenly
+            _fitted(float(weights @ lin.base.c.reshape(-1)), used, b))
 
 
 def minimize_dual(lin: LinearizedInstance, tol: float = 1e-6, *,
@@ -160,9 +133,12 @@ def minimize_dual(lin: LinearizedInstance, tol: float = 1e-6, *,
 
     ``value`` is exactly f(``p_star``); ``gap`` <= tol * max(|value|, 1)
     is ``value`` less the revenue of a feasible fractional solution (0 if
-    rounding puts that above); ``iterations`` counts every pass over the
-    requests.  Raises :class:`ConvergenceError`, with the best certificate
-    so far, if ``iteration_cap`` passes or mu = 1e-15 mu0 leave a gap.
+    rounding puts that above), the best of those its passes carry;
+    ``iterations`` counts every pass over the requests: one exact and
+    one smoothed pass per stage, and one smoothed pass per Newton step;
+    the steps stop at a smoothed KKT residual of min(1e-6, tol).  Raises
+    :class:`ConvergenceError`, with the best certificate so far, if
+    ``iteration_cap`` passes or mu = 1e-15 mu0 leave a gap.
     """
     if not tol > 0:
         raise DomainError(f"tol must be positive, got {tol!r}")
@@ -172,9 +148,10 @@ def minimize_dual(lin: LinearizedInstance, tol: float = 1e-6, *,
     # start at a hundredth of the mean request's best revenue, f(0) / n
     mu = mu0 = 0.01 * np.maximum(inst.c.max(axis=1), 0.0).mean()
     while True:
-        value, low = _certify(p, lin)
-        passes += 2
-        lower = max(lower, low)
+        value, s = dual_value_and_subgradient(p, lin)
+        passes += 1
+        # the greedy selection at p uses b - s and earns value - p . s
+        lower = max(lower, _fitted(value - p @ s, inst.budget - s, inst.budget))
         if value < best_value:
             best_value, best_p = value, p
         cert = DualCertificate(best_value, best_p, passes, max(best_value - lower, 0.0))
@@ -184,13 +161,14 @@ def minimize_dual(lin: LinearizedInstance, tol: float = 1e-6, *,
             raise ConvergenceError(f"dual gap {cert.gap:.3g} above tol {tol:g} after {passes} "
                                    f"passes over the data, at mu = {mu:.3g}", certificate=cert)
 
-        f, g, h = _smoothed(p, lin, mu)
+        f, g, h, low = _smoothed(p, lin, mu)
         passes += 1
+        lower = max(lower, low)
         damping = np.abs(g).max() * inst.d.min() / inst.c.max()  # step <= box radius
-        # Newton steps to a smoothed KKT residual of 1e-6 for every tol, so
-        for _ in range(40):  # all tols share one path and a looser one stops no later
+        # Newton steps to a smoothed KKT residual of min(1e-6, tol), so all
+        for _ in range(40):  # tols >= 1e-6 share one path and a looser one stops no later
             kkt = np.where(p > 0, np.abs(g), np.maximum(-g, 0.0)) / inst.budget
-            if kkt.max() <= 1e-6 or passes >= iteration_cap:
+            if kkt.max() <= min(1e-6, tol) or passes >= iteration_cap:
                 break
             free = (p > 0) | (g < 0)
             step = np.zeros(inst.m)
@@ -201,8 +179,9 @@ def minimize_dual(lin: LinearizedInstance, tol: float = 1e-6, *,
             q = np.maximum(p + step * min(1.0, 20.0 * mu / (np.abs(step) @ inst.d)), 0.0)
             if np.array_equal(q, p):
                 break
-            fq, gq, hq = _smoothed(q, lin, mu)
+            fq, gq, hq, low = _smoothed(q, lin, mu)
             passes += 1
+            lower = max(lower, low)  # any weights are a fractional solution
             damping *= 0.25 if fq < f else 4.0
             if fq < f:
                 p, f, g, h = q, fq, gq, hq

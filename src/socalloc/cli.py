@@ -108,9 +108,9 @@ def _build_parser() -> _Parser:
     e.add_argument("--trace", required=True, help="trace JSON from solve-online")
     e.add_argument("--baseline", default=None, help="certificate JSON (optional)")
     e.add_argument("--eta", type=_csv_floats, default=None,
-                   help="override confidence levels when the instance has none")
+                   help="confidence levels to use in place of the instance's own")
     e.add_argument("--gamma-tilde", type=_csv_floats, default=None,
-                   help="override normalized caps when the instance has none")
+                   help="normalized caps to use in place of the instance's own")
     e.add_argument("--experiment", default="custom", help="label for the CSV row")
     e.add_argument("--variant", default="unknown", help="label for the CSV row")
     e.add_argument("--trial", type=int, default=0, help="label for the CSV row")

@@ -28,10 +28,10 @@ from pathlib import Path
 import numpy as np
 
 from .baseline import DualCertificate, minimize_dual
-from .errors import ConfigError, ConvergenceError
+from .errors import ConfigError, ConvergenceError, DomainError
 from .generate import GeneratorConfig, RequestDraws, generate
 from .metrics import MetricsReport, aggregate, build_report, csv_header, csv_row, scaling_slope
-from .model import RiskSpec
+from .model import RiskSpec, _decode_json
 from .online import Lanes, VariantConfig
 from .transform import linearize, safety_coefficients, to_soc
 
@@ -165,12 +165,21 @@ def _plan_fingerprint(plan: ExperimentPlan) -> dict:
     }
 
 
+def _read_object(path: Path) -> dict:
+    """The JSON object in the file ``path``; a DomainError names a file
+    that is not UTF-8 text or holds another JSON value."""
+    doc = _decode_json(path.read_bytes(), path)
+    if type(doc) is not dict:
+        raise DomainError(f"{path} does not hold a JSON object")
+    return doc
+
+
 def _claim_directory(parts_dir: Path, plan: ExperimentPlan) -> None:
     """Write the plan fingerprint, or refuse a directory holding another plan's parts."""
     path = parts_dir / "plan.json"
     mine = _plan_fingerprint(plan)
     if path.exists():
-        theirs = json.loads(path.read_text())
+        theirs = _read_object(path)
         if theirs != mine:
             fields = sorted(k for k in mine.keys() | theirs.keys()
                             if mine.get(k) != theirs.get(k))
@@ -195,7 +204,7 @@ def _read_parts(parts_dir: Path):
                    for path in parts_dir.iterdir()
                    if (match := re.fullmatch(r"cell_n(\d+)_t(\d+)\.json", path.name)))
     for key, path in found:
-        doc = json.loads(path.read_text())
+        doc = _read_object(path)
         yield key, doc["seed"], doc["status"], {
             name: MetricsReport(**fields) for name, fields in doc["reports"].items()}
 

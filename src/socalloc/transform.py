@@ -35,7 +35,7 @@ class LinearizedInstance:
     Construction refuses a base without psi (see :func:`to_soc`) and
     writes the columns once, resource-major: ``columns`` is a read-only,
     C-contiguous (m, n, k) array, so ``columns.reshape(m, n * k)`` is one
-    matrix without a copy.  ``a_tilde`` is its (n, m, k) transposed view.
+    matrix without a copy, and ``columns[j, t, l]`` is a_tilde_tj[l].
     """
 
     base: Instance
@@ -50,11 +50,6 @@ class LinearizedInstance:
         linear_columns(base.a_bar, base.k_diag, psi, n, out=columns.transpose(1, 0, 2))
         columns.setflags(write=False)
         object.__setattr__(self, "columns", columns)
-
-    @property
-    def a_tilde(self) -> np.ndarray:
-        """The columns a_tilde_tj, (n, m, k), read-only."""
-        return self.columns.transpose(1, 0, 2)
 
 
 def safety_coefficients(risk: RiskSpec) -> np.ndarray:

@@ -102,6 +102,28 @@ def projected_step(prices, consumption, target, step: float) -> np.ndarray:
                      for p, c, d in zip(prices, consumption, target)])
 
 
+def a_tilde(lin) -> np.ndarray:
+    """The columns a_tilde_tj of a linearized instance, (n, m, k): a view
+    of its resource-major (m, n, k) array."""
+    return lin.columns.transpose(1, 0, 2)
+
+
+def lp_optimum(lin) -> float:
+    """Optimum of the linear relaxation max c . x over x_t in [0, 1]^k
+    with sum_l x_tl <= 1 and sum_t A_t x_t <= b, by HiGHS (scipy)."""
+    from scipy import optimize, sparse
+    n, m, k = lin.base.n, lin.base.m, lin.base.k
+    rows_res = sparse.csr_matrix(lin.columns.reshape(m, n * k))
+    rows_req = sparse.kron(sparse.eye(n), np.ones((1, k)), format="csr")
+    res = optimize.linprog(
+        -lin.base.c.ravel(),
+        A_ub=sparse.vstack([rows_res, rows_req]),
+        b_ub=np.concatenate([lin.base.budget, np.ones(n)]),
+        bounds=(0, 1), method="highs")
+    assert res.status == 0, res.message
+    return -res.fun
+
+
 def dual_value(prices, lin) -> float:
     """Exact dual function value at ``prices`` (one pass over requests)."""
     from socalloc import dual_value_and_subgradient
@@ -116,7 +138,7 @@ def greedy_primal(lin) -> tuple[list, float]:
     revenue lower-bounds the relaxation optimum, so it pairs with a dual
     certificate as a weak-duality sandwich.
     """
-    inst = lin.base
+    inst, a = lin.base, a_tilde(lin)
     b = inst.budget
     used = np.zeros(inst.m)
     decisions: list = []
@@ -126,20 +148,21 @@ def greedy_primal(lin) -> tuple[list, float]:
         for l in np.argsort(-inst.c[t]):
             if inst.c[t, l] <= 0:
                 break
-            if np.all(used + lin.a_tilde[t, :, l] <= b):
+            if np.all(used + a[t, :, l] <= b):
                 pick = int(l)
                 break
         if pick is not None:
-            used += lin.a_tilde[t, :, pick]
+            used += a[t, :, pick]
             revenue += float(inst.c[t, pick])
         decisions.append(pick)
     return decisions, revenue
 
 
 def smoothed_by_resource(prices, lin, mu: float):
-    """Smoothed dual f_mu, its gradient and its Hessian at ``prices``,
-    from per-request einsums over a_tilde and one loop over resources."""
-    a, b = lin.a_tilde, lin.base.budget
+    """Smoothed dual f_mu, its gradient, its Hessian and the revenue of its
+    softmax weights at ``prices``, from per-request einsums over a_tilde
+    and one loop over resources."""
+    a, b = a_tilde(lin), lin.base.budget
     reduced = lin.base.c - np.einsum("j,tjk->tk", prices, a)
     top = np.maximum(reduced.max(axis=1), 0.0)
     pi = np.exp(np.maximum((reduced - top[:, None]) / mu, -700.0))
@@ -150,7 +173,7 @@ def smoothed_by_resource(prices, lin, mu: float):
     for i in range(len(b)):
         second[i, i:] = second[i:, i] = np.einsum("tk,tjk->j", pi * a[:, i, :], a[:, i:, :])
     return (float(prices @ b + (top + mu * np.log(z)).sum()), b - mean.sum(axis=0),
-            (second - mean.T @ mean) / mu)
+            (second - mean.T @ mean) / mu, float((pi * lin.base.c).sum()))
 
 
 def forced_run(instance, decisions, variant: str = "marginal", start: float = 100.0):

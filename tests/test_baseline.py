@@ -16,7 +16,7 @@ from hypothesis import strategies as hst
 
 from socalloc.baseline import CHUNK, _smoothed
 
-from helpers import (dual_value, greedy_primal, random_instance,
+from helpers import (a_tilde, dual_value, greedy_primal, lp_optimum, random_instance,
                      smoothed_by_resource, trace_by_recomputation)
 
 
@@ -34,6 +34,23 @@ def toy_m1():
                     k_diag=[[[0.0]]] * 3,
                     d=[0.5], risk=RiskSpec(psi=[0.0]))
     return linearize(inst)
+
+
+def stress_set():
+    """200 small random instances, n in [2, 120], m in [1, 4], k in [1, 5].
+    Every odd one has c and a_bar rounded to one decimal and no variance,
+    so that many (request, option) pairs tie at the optimal prices."""
+    rng = np.random.default_rng(20261019)
+    for index in range(200):
+        n, m, k = int(rng.integers(2, 121)), int(rng.integers(1, 5)), int(rng.integers(1, 6))
+        c = rng.uniform(0, 1, (n, k))
+        a_bar = rng.uniform(0, 1, (n, m, k))
+        k_diag = rng.uniform(0, 0.04, (n, m, k))
+        d = rng.uniform(0.1, 0.5, m)
+        psi = rng.uniform(0, 1, m)
+        if index % 2:
+            c, a_bar, k_diag = np.round(c, 1), np.round(a_bar, 1), np.zeros_like(k_diag)
+        yield Instance(c, a_bar, k_diag, d, RiskSpec(psi=psi))
 
 
 def grid_search_1d(lin, lo, hi, points=20001):
@@ -149,8 +166,8 @@ class TestMinimizeDual:
         assert isinstance(cert, DualCertificate)
         assert cert.iterations >= 50
         assert cert.value >= 0
-        # the cap counts passes over the data; at most one certification
-        # (two passes) follows the pass that reaches it
+        # the cap counts passes over the data; at most one exact pass
+        # follows the pass that reaches it
         assert cert.iterations <= 52
         assert cert.value == dual_value(cert.p_star, lin)
         assert cert.gap > 1e-15 * cert.value
@@ -170,21 +187,11 @@ class TestMinimizeDual:
                     + (1 - lam) * dual_value(q, lin) + 1e-9)
 
     def test_matches_lp_solver_reference(self):
-        optimize = pytest.importorskip("scipy.optimize")
-        sparse = pytest.importorskip("scipy.sparse")
+        pytest.importorskip("scipy.optimize")
         cfg = GeneratorConfig("uniform", n=300, m=4, k=5,
                               eta=(0.65, 0.75, 0.85, 0.95), seed=12)
-        inst = to_soc(generate(cfg))
-        lin = linearize(inst)
-        n, m, k = inst.n, inst.m, inst.k
-        rows_res = sparse.csr_matrix(lin.a_tilde.transpose(1, 0, 2).reshape(m, n * k))
-        rows_req = sparse.kron(sparse.eye(n), np.ones((1, k)), format="csr")
-        res = optimize.linprog(
-            -inst.c.ravel(),
-            A_ub=sparse.vstack([rows_res, rows_req]),
-            b_ub=np.concatenate([inst.budget, np.ones(n)]),
-            bounds=(0, 1), method="highs")
-        lp_opt = -res.fun
+        lin = linearize(to_soc(generate(cfg)))
+        lp_opt = lp_optimum(lin)
         cert = minimize_dual(lin, tol=1e-8)
         assert cert.value >= lp_opt - 1e-6          # dual upper-bounds the LP
         assert abs(cert.value - lp_opt) <= 1e-4 * lp_opt
@@ -211,6 +218,17 @@ class TestMinimizeDual:
                       for tol in (1e-2, 1e-4, 1e-6, 1e-8, 1e-9)]
             assert passes == sorted(passes), (seed, passes)
 
+    def test_slack_budgets_certify_in_one_pass(self):
+        # no selection can use more than 4 n of a row, and the budget is
+        # 5 n: the greedy selection at p = 0 is feasible, and its revenue
+        # is f(0)
+        inst = random_instance(np.random.default_rng(11), n=20, psi=np.zeros(4))
+        inst = Instance(inst.c, inst.a_bar, inst.k_diag, np.full(4, 5.0), inst.risk)
+        cert = minimize_dual(linearize(inst), tol=1e-9)
+        assert cert.iterations == 1
+        assert cert.gap == 0.0
+        assert np.array_equal(cert.p_star, np.zeros(4))
+
     def test_pass_count_guard(self):
         # the fixed subgradient schedule this method replaced spent 1441
         # evaluations on this certificate
@@ -219,6 +237,37 @@ class TestMinimizeDual:
         cert = minimize_dual(lin, tol=1e-6)
         assert cert.iterations <= 150
         assert cert.gap <= 1e-6 * cert.value
+
+
+class TestStressAgainstLP:
+    def test_every_certificate_closes(self):
+        pytest.importorskip("scipy.optimize")
+        still_open = []
+        for index, inst in enumerate(stress_set()):
+            lin = linearize(inst)
+            lp_opt = lp_optimum(lin)
+            try:
+                cert = minimize_dual(lin, tol=1e-6)
+            except ConvergenceError as err:
+                still_open.append(index)
+                cert = err.certificate
+            assert cert.value >= lp_opt * (1 - 1e-9), index
+            assert cert.value - cert.gap <= lp_opt * (1 + 1e-9), index
+        assert not still_open
+
+    @pytest.mark.parametrize("index", [41, 89, 121])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9])
+    def test_tied_instance_closes(self, index, tol):
+        # rounded instances of the stress set whose prices reach the LP
+        # optimum while a lower bound recovered from the tied pairs
+        # stayed short of it
+        pytest.importorskip("scipy.optimize")
+        lin = linearize(next(itertools.islice(stress_set(), index, None)))
+        lp_opt = lp_optimum(lin)
+        cert = minimize_dual(lin, tol=tol)
+        assert cert.gap <= tol * max(cert.value, 1.0)
+        assert cert.value >= lp_opt * (1 - 1e-9)
+        assert cert.value - cert.gap <= lp_opt * (1 + 1e-9)
 
 
 class TestSmoothedPass:
@@ -230,15 +279,19 @@ class TestSmoothedPass:
         rng = np.random.default_rng(n * 31 + m * 7 + k)
         lin = linearize(random_instance(rng, n=n, m=m, k=k, psi=np.full(m, psi)))
         prices = rng.uniform(0.0, 0.5, m)
-        f, g, h = _smoothed(prices, lin, mu)
-        f_ref, g_ref, h_ref = smoothed_by_resource(prices, lin, mu)
+        f, g, h, low = _smoothed(prices, lin, mu)
+        f_ref, g_ref, h_ref, revenue_ref = smoothed_by_resource(prices, lin, mu)
         # g and h are differences of sums over requests; their scale is
         # that of the sums
-        a_max = lin.a_tilde.max()
+        a_max = lin.columns.max()
         assert f == pytest.approx(f_ref, rel=1e-12)
         np.testing.assert_allclose(g, g_ref, rtol=1e-12, atol=1e-12 * n * a_max)
         np.testing.assert_allclose(h, h_ref, rtol=1e-12, atol=1e-12 * n * a_max ** 2 / mu)
         assert np.array_equal(h, h.T)
+        # the bound is the softmax weights' revenue, scaled down to fit every row
+        b = lin.base.budget
+        fit = min(b[j] / max(b[j] - g_ref[j], b[j]) for j in range(m))
+        assert low == pytest.approx(max(fit * revenue_ref, 0.0), rel=1e-12)
 
 
 class TestSingleRequest:
@@ -253,8 +306,8 @@ class TestSingleRequest:
     def test_value_is_the_fractional_optimum(self, c, a_bar, k_diag, psi, d):
         # n = m = k = 1: take as much of the request as the budget allows
         lin = linearize(Instance([[c]], [[[a_bar]]], [[[k_diag]]], [d], RiskSpec(psi=[psi])))
-        a_tilde = float(lin.a_tilde[0, 0, 0])
-        expected = max(c, 0.0) * (min(1.0, d / a_tilde) if a_tilde > 0 else 1.0)
+        column = float(lin.columns[0, 0, 0])
+        expected = max(c, 0.0) * (min(1.0, d / column) if column > 0 else 1.0)
         tol = 1e-6
         cert = minimize_dual(lin, tol=tol)
         assert abs(cert.value - expected) <= tol * max(expected, 1.0)
@@ -280,7 +333,7 @@ class TestWeakDuality:
         used = np.zeros(inst.m)
         for t, l in enumerate(decisions):
             if l is not None:
-                used += lin.a_tilde[t, :, l]
+                used += a_tilde(lin)[t, :, l]
         assert np.all(used <= inst.budget + 1e-9)
 
 

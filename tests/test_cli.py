@@ -242,6 +242,29 @@ class TestNonUtf8File:
                                "--trace", "trace.json", "--baseline", "bad.json")
 
 
+class TestDamagedResultsDirectory:
+    """A part file or plan.json that is not UTF-8 text or not a JSON object
+    makes the next experiment run into its directory a data error naming
+    the file."""
+
+    @pytest.mark.parametrize("name, damage", [
+        ("cell_n10_t0.json", lambda data: data.replace(b'"', b'"\xff', 1)),
+        ("plan.json", lambda data: data.replace(b'"', b'"\xff', 1)),
+        ("plan.json", lambda data: b"[1]")], ids=["part-not-utf8", "plan-not-utf8",
+                                                  "plan-not-an-object"])
+    def test_exits_2(self, tmp_path, capsys, name, damage):
+        common = ("experiment", "--experiment", "uniform", "--trials", "1", "--m", "2",
+                  "--k", "3", "--eta", "0.9,0.9", "--variants", "vanilla",
+                  "--no-baseline", "--out", "res")
+        assert run(tmp_path, *common, "--n-grid", "10") == 0
+        path = tmp_path / "res" / "parts" / name
+        path.write_bytes(damage(path.read_bytes()))
+        capsys.readouterr()
+        assert run(tmp_path, *common, "--n-grid", "20") == 2
+        err = capsys.readouterr().err
+        assert f"parts/{name}" in err and "Traceback" not in err
+
+
 def _drop_decision(doc):
     doc["decisions"].pop()
 

@@ -20,7 +20,7 @@ from socalloc import (ConfigError, DomainError, GeneratorConfig, Instance, Onlin
                       linearize, run_online, soc_lhs, to_soc)
 from socalloc.online import VARIANTS, InstanceRows, Lanes
 
-from helpers import (forced_run, priced_margins, projected_step, random_instance,
+from helpers import (a_tilde, forced_run, priced_margins, projected_step, random_instance,
                      step)
 
 ETA_GRID = (0.65, 0.75, 0.85, 0.95)
@@ -142,13 +142,13 @@ class TestStepRecorder:
         solver = OnlineSolver(inst, VariantConfig("vanilla", 30), record_steps=True)
         prices = np.zeros(inst.m)
         for t in range(inst.n):
-            best = max(priced_margins(prices, inst.c[t], lin.a_tilde[t]))
+            best = max(priced_margins(prices, inst.c[t], a_tilde(lin)[t]))
             scheme = step(solver)
             row_t, row_scheme, row_value, row_prices = solver.steps[-1]
             assert (row_t, row_scheme) == (t, scheme)
             assert row_value == pytest.approx(best, abs=1e-12)
             consumption = (np.zeros(inst.m) if scheme is None
-                           else lin.a_tilde[t, :, scheme])
+                           else a_tilde(lin)[t, :, scheme])
             prices = projected_step(prices, consumption, inst.d,
                                     1.0 / math.sqrt(inst.n))
             assert np.allclose(row_prices, prices, rtol=1e-12, atol=1e-14)
@@ -466,7 +466,7 @@ class TestLanes:
         assert group._mg == 2 and sorted(group._rows[:2]) == [0, 1]
         for i, row in enumerate(group._rows[:2]):
             assert np.array_equal(group._columns[0, i],
-                                  linearize(instances[row]).a_tilde[0])
+                                  a_tilde(linearize(instances[row]))[0])
 
     def test_nonfinite_coefficients_refused(self):
         rng = np.random.default_rng(42)
