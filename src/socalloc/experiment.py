@@ -30,8 +30,9 @@ import numpy as np
 from .baseline import DualCertificate, minimize_dual
 from .errors import ConfigError, ConvergenceError, DomainError
 from .generate import GeneratorConfig, RequestDraws, generate
-from .metrics import MetricsReport, aggregate, build_report, csv_header, csv_row, scaling_slope
-from .model import RiskSpec, _decode_json
+from .metrics import (_SCALARS, MetricsReport, aggregate, build_report, csv_header, csv_row,
+                      scaling_slope)
+from .model import RiskSpec, _decode_json, _json_field
 from .online import Lanes, VariantConfig
 from .transform import linearize, safety_coefficients, to_soc
 
@@ -198,15 +199,36 @@ def _part_text(seed: int, status: str, results: dict) -> str:
         for name, report in results.items()}})
 
 
-def _read_parts(parts_dir: Path):
-    """Every part present as ((n, trial), seed, status, reports), in (n, trial) order."""
+def _read_parts(parts_dir: Path, m: int):
+    """Every part present as ((n, trial), seed, status, reports), in (n, trial) order;
+    a DomainError names a part that does not hold reports over m resources."""
     found = sorted((tuple(int(g) for g in match.groups()), path)
                    for path in parts_dir.iterdir()
                    if (match := re.fullmatch(r"cell_n(\d+)_t(\d+)\.json", path.name)))
     for key, path in found:
         doc = _read_object(path)
-        yield key, doc["seed"], doc["status"], {
-            name: MetricsReport(**fields) for name, fields in doc["reports"].items()}
+        try:
+            cell = (key, _json_field(doc, "seed", (int,)), _json_field(doc, "status", (str,)),
+                    {name: _read_report(fields, m)
+                     for name, fields in _json_field(doc, "reports", (dict,)).items()})
+        except DomainError as err:
+            raise DomainError(f"{path}: {err}") from err
+        except KeyError as err:
+            raise DomainError(f"{path} lacks the field {err}") from err
+        yield cell
+
+
+def _read_report(doc, m: int) -> MetricsReport:
+    """A part's report: exactly ``MetricsReport``'s fields, each a JSON number
+    (NaN included), ``per_constraint`` an object of lists of m numbers."""
+    if type(doc) is not dict or doc.keys() != {*_SCALARS, "per_constraint"}:
+        raise DomainError("a report does not hold exactly the fields of MetricsReport")
+    per = _json_field(doc, "per_constraint", (dict,))
+    per = {key: _json_field(per, key, many=True) for key in per}
+    if any(len(vec) != m for vec in per.values()):
+        raise DomainError(f"a report's per-constraint vectors must have {m} entries")
+    return MetricsReport(**{name: _json_field(doc, name) for name in _SCALARS},
+                         per_constraint=per)
 
 
 def run_experiment(plan: ExperimentPlan) -> dict:
@@ -233,7 +255,7 @@ def run_experiment(plan: ExperimentPlan) -> dict:
     failed, trials = [], {}
     with (out_dir / "metrics.csv").open("w") as fh:
         fh.write(csv_header(m))
-        for (n, t), seed, status, reports in _read_parts(parts_dir):
+        for (n, t), seed, status, reports in _read_parts(parts_dir, m):
             fh.writelines(csv_row(experiment, v.variant, n, t, seed, reports[v.variant], m,
                                   status=status) for v in plan.variants)
             if status != "ok":

@@ -205,7 +205,9 @@ def soc_lhs(trace: SolutionTrace, instance: Instance) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # JSON serialization.  Python's json writes floats with repr(), which is the
 # shortest string that parses back to the identical double, so round trips
-# are lossless.
+# are lossless.  An instance file is streamed both ways: written a block of
+# requests at a time, hashed as written, under a temporary name renamed into
+# place; read back by hashing it in chunks against its sidecar.
 # ---------------------------------------------------------------------------
 
 #: The risk arrays, in ``RiskSpec``'s field order.
@@ -215,22 +217,6 @@ _RISK_FIELDS = ("eta", "gamma_tilde", "psi")
 def _risk_arrays(risk: RiskSpec) -> dict:
     return {name: getattr(risk, name) for name in _RISK_FIELDS
             if getattr(risk, name) is not None}
-
-
-def _instance_to_dict(instance: Instance) -> dict:
-    return {
-        "n": instance.n,
-        "m": instance.m,
-        "k": instance.k,
-        "d": instance.d.tolist(),
-        "risk": {name: v.tolist() for name, v in _risk_arrays(instance.risk).items()},
-        "requests": [
-            {"c": instance.c[t].tolist(),
-             "a_bar": instance.a_bar[t].tolist(),
-             "k_diag": instance.k_diag[t].tolist()}
-            for t in range(instance.n)
-        ],
-    }
 
 
 def _json_field(doc: dict, name: str, types=(int, float), many: bool = False):
@@ -292,41 +278,76 @@ def _sidecar(path: Path) -> Path:
     return path.with_name(path.name + ".npz")
 
 
-def _digest(data: bytes) -> np.ndarray:
-    """SHA-256 of ``data`` as 32 uint8 values, the form a sidecar stores."""
-    import hashlib  # here, not at the top: its import adds about 3 ms to every start-up
-    return np.frombuffer(hashlib.sha256(data).digest(), dtype=np.uint8)
+def _write_replacing(path: Path, write) -> None:
+    """Call ``write`` on the binary file ``<path>.<pid>.tmp``, then rename
+    that to ``path``, so no reader sees half a file.  On any exception the
+    temporary file is removed and the exception raised again; an earlier
+    file at ``path`` is left as it was."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _request_json(c: list, a_bar: list, k_diag: list) -> str:
+    """One request of an instance file."""
+    return json.dumps({"c": c, "a_bar": a_bar, "k_diag": k_diag})
 
 
 def save_instance(instance: Instance, path) -> None:
     """Write ``instance`` to the JSON file ``path``, the record, and its
     arrays with the SHA-256 of that JSON to the sidecar ``<path>.npz``.
 
-    The sidecar spares :func:`load_instance` the JSON decode.  It is
-    written under a temporary name and then renamed, so no reader sees
-    half of one; if it cannot be written the JSON alone stands.
+    The JSON is streamed, 256 requests at a time, and hashed as written,
+    so it is never held whole.  Both files go through
+    :func:`_write_replacing`; a failed JSON write raises, and if the
+    sidecar cannot be written the JSON alone stands.  The sidecar spares
+    :func:`load_instance` the JSON decode.
     """
+    import hashlib  # here, not at the top: its import adds about 3 ms to every start-up
     path = Path(path)
-    data = json.dumps(_instance_to_dict(instance)).encode()
-    path.write_bytes(data)
+    sha256 = hashlib.sha256()
+    head = json.dumps({
+        "n": instance.n, "m": instance.m, "k": instance.k, "d": instance.d.tolist(),
+        "risk": {name: v.tolist() for name, v in _risk_arrays(instance.risk).items()}})
+
+    def write(fh):
+        def put(text: str) -> None:
+            data = text.encode()
+            sha256.update(data)
+            fh.write(data)
+        put(head[:-1] + ', "requests": [')
+        for start in range(0, instance.n, 256):
+            block = slice(start, start + 256)
+            rows = zip(instance.c[block].tolist(), instance.a_bar[block].tolist(),
+                       instance.k_diag[block].tolist())
+            put((", " if start else "") + ", ".join(_request_json(*row) for row in rows))
+        put("]}")
+
+    _write_replacing(path, write)
     arrays = {name: getattr(instance, name) for name in ("c", "a_bar", "k_diag", "d")}
     arrays.update(_risk_arrays(instance.risk))
-    sidecar = _sidecar(path)
-    tmp = sidecar.with_name(f"{sidecar.name}.{os.getpid()}.tmp")
+    digest = np.frombuffer(sha256.digest(), dtype=np.uint8)
     try:
-        with tmp.open("wb") as fh:
-            np.savez(fh, sha256=_digest(data), **arrays)
-        os.replace(tmp, sidecar)
+        _write_replacing(_sidecar(path), lambda fh: np.savez(fh, sha256=digest, **arrays))
     except OSError:
-        tmp.unlink(missing_ok=True)
+        pass
 
 
-def _sidecar_arrays(path: Path, data: bytes) -> dict | None:
-    """The arrays of ``path``'s sidecar if it holds the digest of ``data``,
-    the file's JSON bytes; None if it is missing, stale or unreadable."""
+def _sidecar_arrays(path: Path) -> dict | None:
+    """The arrays of ``path``'s sidecar if it holds the SHA-256 of the
+    JSON file ``path``, hashed in chunks; None if it is missing, stale or
+    unreadable."""
+    import hashlib
     try:
         with np.load(_sidecar(path), allow_pickle=False) as z:
-            if not np.array_equal(z["sha256"], _digest(data)):
+            with path.open("rb") as fh:
+                digest = hashlib.file_digest(fh, "sha256").digest()
+            if not np.array_equal(z["sha256"], np.frombuffer(digest, dtype=np.uint8)):
                 return None
             names = ("c", "a_bar", "k_diag", "d") + tuple(r for r in _RISK_FIELDS if r in z)
             return {name: z[name] for name in names}
@@ -336,13 +357,13 @@ def _sidecar_arrays(path: Path, data: bytes) -> dict | None:
 
 def load_instance(path) -> Instance:
     """The instance in the JSON file ``path``.  Its arrays come from the
-    sidecar :func:`save_instance` wrote when that holds the digest of these
-    JSON bytes, else from the JSON; either way the constructors check them."""
+    sidecar :func:`save_instance` wrote when that holds the digest of the
+    JSON, hashed without reading the file whole; else the JSON is read
+    and decoded.  Either way the constructors check the arrays."""
     path = Path(path)
-    data = path.read_bytes()
-    arrays = _sidecar_arrays(path, data)
+    arrays = _sidecar_arrays(path)
     if arrays is None:
-        return _instance_from_dict(_decode_json(data, path))
+        return _instance_from_dict(_decode_json(path.read_bytes(), path))
     return Instance(arrays["c"], arrays["a_bar"], arrays["k_diag"], arrays["d"],
                     RiskSpec(*(arrays.get(name) for name in _RISK_FIELDS)))
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -63,6 +64,18 @@ def random_instance(rng: np.random.Generator, n: int, m: int = 4, k: int = 5,
     k_diag = rng.uniform(0, 1, (n, m, k)) ** 2
     risk = RiskSpec(eta=eta, gamma_tilde=gamma_tilde, psi=psi)
     return Instance(c, a_bar, k_diag, np.ones(m), risk)
+
+
+def instance_json_bytes(inst) -> bytes:
+    """An instance file's bytes, encoded whole: one json.dumps of a dict
+    holding every request as a dict of lists."""
+    risk = {name: getattr(inst.risk, name).tolist() for name in ("eta", "gamma_tilde", "psi")
+            if getattr(inst.risk, name) is not None}
+    return json.dumps({
+        "n": inst.n, "m": inst.m, "k": inst.k, "d": inst.d.tolist(), "risk": risk,
+        "requests": [{"c": inst.c[t].tolist(), "a_bar": inst.a_bar[t].tolist(),
+                      "k_diag": inst.k_diag[t].tolist()} for t in range(inst.n)],
+    }).encode()
 
 
 def random_decisions(rng: np.random.Generator, n: int, k: int,

@@ -242,16 +242,36 @@ class TestNonUtf8File:
                                "--trace", "trace.json", "--baseline", "bad.json")
 
 
+def _edit_part(edit):
+    """A damage decoding a part file, applying ``edit`` and encoding it again."""
+    def damage(data):
+        doc = json.loads(data)
+        edit(doc)
+        return json.dumps(doc).encode()
+    return damage
+
+
 class TestDamagedResultsDirectory:
-    """A part file or plan.json that is not UTF-8 text or not a JSON object
-    makes the next experiment run into its directory a data error naming
+    """A part file or plan.json that is not UTF-8 text or not a JSON object,
+    or a part whose reports are not MetricsReport's fields of JSON numbers
+    over the plan's resources, makes the next experiment run into its directory a data error naming
     the file."""
 
     @pytest.mark.parametrize("name, damage", [
         ("cell_n10_t0.json", lambda data: data.replace(b'"', b'"\xff', 1)),
         ("plan.json", lambda data: data.replace(b'"', b'"\xff', 1)),
-        ("plan.json", lambda data: b"[1]")], ids=["part-not-utf8", "plan-not-utf8",
-                                                  "plan-not-an-object"])
+        ("plan.json", lambda data: b"[1]"),
+        ("cell_n10_t0.json", _edit_part(lambda doc: doc.update(reports=None))),
+        ("cell_n10_t0.json", _edit_part(lambda doc: doc["reports"]["vanilla"].update(
+            objective="x"))),
+        ("cell_n10_t0.json", _edit_part(lambda doc: doc["reports"]["vanilla"].update(
+            extra=1.0))),
+        ("cell_n10_t0.json", _edit_part(lambda doc: doc["reports"]["vanilla"][
+            "per_constraint"].update(soc_violation=[0.5]))),
+        ("cell_n10_t0.json", _edit_part(lambda doc: doc.pop("seed")))],
+        ids=["part-not-utf8", "plan-not-utf8", "plan-not-an-object", "reports-null",
+             "objective-a-string", "report-extra-field", "vector-of-one-resource",
+             "part-without-seed"])
     def test_exits_2(self, tmp_path, capsys, name, damage):
         common = ("experiment", "--experiment", "uniform", "--trials", "1", "--m", "2",
                   "--k", "3", "--eta", "0.9,0.9", "--variants", "vanilla",

@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,10 +15,10 @@ from socalloc import (ConfigError, DomainError, GeneratorConfig, Instance, RiskS
                       SolutionTrace, StructuralError, generate, load_instance,
                       load_trace, save_instance, save_trace, soc_lhs, to_soc)
 from socalloc import model
-from socalloc.model import (_instance_from_dict, _instance_to_dict, _trace_from_dict,
-                            _trace_to_dict)
+from socalloc.model import _instance_from_dict, _trace_from_dict, _trace_to_dict
 
-from helpers import random_decisions, random_instance, trace_by_recomputation
+from helpers import (instance_json_bytes, random_decisions, random_instance,
+                     trace_by_recomputation)
 
 
 def empty_trace(m: int, n: int = 0) -> SolutionTrace:
@@ -230,7 +231,7 @@ class TestSerialization:
         rng = np.random.default_rng(15)
         inst = random_instance(rng, n=12, eta=(0.65, 0.75, 0.85, 0.95),
                                gamma_tilde=(0.2, 0.3, 0.4, 0.5))
-        doc = json.loads(json.dumps(_instance_to_dict(inst)))
+        doc = json.loads(instance_json_bytes(inst))
         back = _instance_from_dict(doc)
         assert np.array_equal(back.c, inst.c)
         assert np.array_equal(back.a_bar, inst.a_bar)
@@ -241,7 +242,7 @@ class TestSerialization:
 
     def test_declared_counts_verified(self):
         inst = random_instance(np.random.default_rng(16), n=4)
-        doc = _instance_to_dict(inst)
+        doc = json.loads(instance_json_bytes(inst))
         doc["n"] = 7
         with pytest.raises(StructuralError):
             _instance_from_dict(doc)
@@ -325,6 +326,8 @@ class TestFileRoundTrip:
             (Path(tmp) / "instance.json.npz").unlink()
             from_json = load_instance(Path(tmp) / "instance.json")
             trace_back = load_trace(Path(tmp) / "trace.json")
+            streamed = (Path(tmp) / "instance.json").read_bytes()
+        assert streamed == instance_json_bytes(inst)
         for inst_back in (from_sidecar, from_json):
             assert same_instance(inst_back, inst)
         assert trace_back.decisions == trace.decisions
@@ -403,7 +406,14 @@ class TestSidecar:
 
         def decode(doc):
             raise AssertionError("the JSON was decoded")
+        read_bytes = Path.read_bytes
+
+        def read_whole(self):
+            if self == path:
+                raise AssertionError("the JSON was read whole")
+            return read_bytes(self)
         monkeypatch.setattr(model, "_instance_from_dict", decode)
+        monkeypatch.setattr(Path, "read_bytes", read_whole)
         assert same_instance(load_instance(path), inst)
 
     def test_edited_json_is_read_over_a_stale_sidecar(self, saved):
@@ -424,3 +434,62 @@ class TestSidecar:
         inst, path = saved
         spoil(path.parent / "instance.json.npz")
         assert same_instance(load_instance(path), inst)
+
+
+def traced_peak_mb(fn, *args) -> float:
+    """The tracemalloc peak, in MB, of one call ``fn(*args)``."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedFile:
+    """save_instance writes the JSON 256 requests at a time under a
+    temporary name and renames it; load_instance hashes it in chunks."""
+
+    @pytest.fixture(scope="class")
+    def saved_large(self, tmp_path_factory):
+        """An n = 10000 instance saved under tracemalloc: its file and the
+        save's peak in MB."""
+        inst = to_soc(generate(GeneratorConfig("uniform", n=10000, m=4, k=5,
+                                               eta=(0.65, 0.75, 0.85, 0.95), seed=7)))
+        path = tmp_path_factory.mktemp("large") / "instance.json"
+        return path, traced_peak_mb(save_instance, inst, path)
+
+    @pytest.mark.parametrize("n", [1, 513])  # 513: two whole blocks and one request
+    @pytest.mark.parametrize("risky", [False, True], ids=["riskless", "risk"])
+    def test_bytes_equal_the_whole_encoding(self, tmp_path, n, risky):
+        inst = random_instance(np.random.default_rng(n), n=n, m=2, k=3)
+        if risky:
+            inst = to_soc(Instance(inst.c, inst.a_bar, inst.k_diag, inst.d,
+                                   RiskSpec(eta=(0.6, 0.9), gamma_tilde=(0.2, 0.4))))
+        save_instance(inst, tmp_path / "instance.json")
+        assert (tmp_path / "instance.json").read_bytes() == instance_json_bytes(inst)
+
+    def test_failed_write_keeps_the_earlier_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "instance.json"
+        save_instance(random_instance(np.random.default_rng(1), n=5), path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        encode, calls = model._request_json, []
+
+        def encode_one_block(*row):
+            calls.append(row)
+            if len(calls) > 256:
+                raise RuntimeError("the disk is full")
+            return encode(*row)
+        monkeypatch.setattr(model, "_request_json", encode_one_block)
+        with pytest.raises(RuntimeError, match="disk is full"):
+            save_instance(random_instance(np.random.default_rng(2), n=513), path)
+        assert len(calls) == 257
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_save_holds_no_whole_file(self, saved_large):
+        # encoded whole, the file peaked at 40.3 MB; streamed, at 1.5 MB
+        assert saved_large[1] < 4
+
+    def test_load_holds_no_whole_file(self, saved_large):
+        # reading the 9.6 MB JSON whole to hash it peaked at 16.3 MB; in chunks, at 7.1 MB
+        assert traced_peak_mb(load_instance, saved_large[0]) < 12
