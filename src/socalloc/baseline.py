@@ -62,8 +62,8 @@ CHUNK = 2048
 def _reduced_values(prices: np.ndarray, lin: LinearizedInstance) -> np.ndarray:
     """c_t - p . A_t for every request and scheme, (n, k), as one product
     with the (m, n k) view of the columns."""
-    reduced = (prices @ lin.columns.reshape(lin.base.m, -1)).reshape(lin.base.c.shape)
-    return np.subtract(lin.base.c, reduced, out=reduced)
+    reduced = (prices @ lin.columns.reshape(lin.m, -1)).reshape(lin.c.shape)
+    return np.subtract(lin.c, reduced, out=reduced)
 
 
 def dual_value_and_subgradient(prices: np.ndarray,
@@ -76,7 +76,7 @@ def dual_value_and_subgradient(prices: np.ndarray,
     prices = np.asarray(prices, dtype=float)
     if np.any(prices < 0):
         raise DomainError("prices must be nonnegative")
-    b = lin.base.budget
+    b = lin.budget
     reduced = _reduced_values(prices, lin)
     choice = reduced.argmax(axis=1)
     best = np.take_along_axis(reduced, choice[:, None], axis=1)[:, 0]
@@ -99,7 +99,7 @@ def _smoothed(prices: np.ndarray, lin: LinearizedInstance, mu: float):
     (A_t pi_t)(A_t pi_t)') / mu, each a product over the flat columns.
     The weights are a fractional solution (they sum to at most 1 per
     request), and the bound is its revenue pi . c, scaled to fit."""
-    b, m, k = lin.base.budget, lin.base.m, lin.base.k
+    b, m, k = lin.budget, lin.m, lin.k
     # each (n, k) or (m, CHUNK k) array is allocated once and then worked
     # in place: numpy reduces a short contiguous axis slowly, and exp is
     # slow where it underflows
@@ -124,7 +124,7 @@ def _smoothed(prices: np.ndarray, lin: LinearizedInstance, mu: float):
     hessian = (second - mean_outer) / mu
     return (float(prices @ b + (top + mu * np.log(z)).sum()), b - used,
             (hessian + hessian.T) / 2,  # weighted @ part.T rounds unevenly
-            _fitted(float(weights @ lin.base.c.reshape(-1)), used, b))
+            _fitted(float(weights @ lin.c.reshape(-1)), used, b))
 
 
 def minimize_dual(lin: LinearizedInstance, tol: float = 1e-6, *,
@@ -142,16 +142,16 @@ def minimize_dual(lin: LinearizedInstance, tol: float = 1e-6, *,
     """
     if not tol > 0:
         raise DomainError(f"tol must be positive, got {tol!r}")
-    inst = lin.base
-    p = best_p = np.zeros(inst.m)
+    b = lin.budget
+    p = best_p = np.zeros(lin.m)
     passes, best_value, lower = 0, np.inf, -np.inf
     # start at a hundredth of the mean request's best revenue, f(0) / n
-    mu = mu0 = 0.01 * np.maximum(inst.c.max(axis=1), 0.0).mean()
+    mu = mu0 = 0.01 * np.maximum(lin.c.max(axis=1), 0.0).mean()
     while True:
         value, s = dual_value_and_subgradient(p, lin)
         passes += 1
         # the greedy selection at p uses b - s and earns value - p . s
-        lower = max(lower, _fitted(value - p @ s, inst.budget - s, inst.budget))
+        lower = max(lower, _fitted(value - p @ s, b - s, b))
         if value < best_value:
             best_value, best_p = value, p
         cert = DualCertificate(best_value, best_p, passes, max(best_value - lower, 0.0))
@@ -164,19 +164,19 @@ def minimize_dual(lin: LinearizedInstance, tol: float = 1e-6, *,
         f, g, h, low = _smoothed(p, lin, mu)
         passes += 1
         lower = max(lower, low)
-        damping = np.abs(g).max() * inst.d.min() / inst.c.max()  # step <= box radius
+        damping = np.abs(g).max() * lin.d.min() / lin.c.max()  # step <= box radius
         # Newton steps to a smoothed KKT residual of min(1e-6, tol), so all
         for _ in range(40):  # tols >= 1e-6 share one path and a looser one stops no later
-            kkt = np.where(p > 0, np.abs(g), np.maximum(-g, 0.0)) / inst.budget
+            kkt = np.where(p > 0, np.abs(g), np.maximum(-g, 0.0)) / b
             if kkt.max() <= min(1e-6, tol) or passes >= iteration_cap:
                 break
             free = (p > 0) | (g < 0)
-            step = np.zeros(inst.m)
+            step = np.zeros(lin.m)
             step[free] = -np.linalg.solve(
                 h[np.ix_(free, free)] + damping * np.eye(free.sum()), g[free])
             # trust the quadratic model for a change of about 20 mu in the
             # priced consumption of the mean request
-            q = np.maximum(p + step * min(1.0, 20.0 * mu / (np.abs(step) @ inst.d)), 0.0)
+            q = np.maximum(p + step * min(1.0, 20.0 * mu / (np.abs(step) @ lin.d)), 0.0)
             if np.array_equal(q, p):
                 break
             fq, gq, hq, low = _smoothed(q, lin, mu)

@@ -174,9 +174,7 @@ def _cmd_solve_online(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    instance = to_soc(load_instance(args.instance))
-    lin = linearize(instance)
-    cert = minimize_dual(lin, tol=args.tol)
+    cert = minimize_dual(linearize(to_soc(load_instance(args.instance))), tol=args.tol)
     Path(args.out).write_text(json.dumps(cert.to_dict()))
     print(f"wrote {args.out} (value={cert.value:.6f}, gap={cert.gap:.3g}, "
           f"iterations={cert.iterations})")

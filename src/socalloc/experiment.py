@@ -1,20 +1,21 @@
 """Experiment orchestration: n-grids, repeated trials, report files.
 
 A plan expands into (n, trial) cells.  Each cell derives its own seed
-from (master_seed, n, trial), generates one instance, computes one
-baseline, and runs every variant on that same instance, so variants are
-compared like-for-like.  The cells of one n run together, one n after
-another: the trials x variants of an n are the lanes of one
+from (master_seed, n, trial), computes one baseline on its requests,
+and runs every variant on those same requests, so variants are compared
+like-for-like.  The cells of one n run together, one n after another:
+the trials x variants of an n are the lanes of one
 :class:`~socalloc.online.Lanes` set, which steps them all with one numpy
 call per step.  The lanes draw each trial's requests from the
 generator's :class:`~socalloc.generate.RequestDraws` block by block and
-price their columns themselves, so no instance is held while they run;
-with baselines each trial's instance is generated and certified first,
-one at a time, and only its certificate is kept.  Each cell writes one
-part file, the one record of its results; all three report files are
-built from every part present, in (n, trial) order, so reruns are
-byte-identical and runs of one plan over other n-grids or trial counts
-union in a shared output directory.  A fingerprint in ``parts/``
+price their columns themselves, so no instance is held while they run.
+With baselines each trial is first drawn straight into its revenues and
+linear columns, a :class:`~socalloc.transform.LinearizedInstance`, and
+certified, one trial at a time; only its certificate is kept.  Each cell
+writes one part file, the one record of its results; all three report
+files are built from every part present, in (n, trial) order, so reruns
+are byte-identical and runs of one plan over other n-grids or trial
+counts union in a shared output directory.  A fingerprint in ``parts/``
 refuses any other plan or format.
 """
 
@@ -29,12 +30,12 @@ import numpy as np
 
 from .baseline import DualCertificate, minimize_dual
 from .errors import ConfigError, ConvergenceError, DomainError
-from .generate import GeneratorConfig, RequestDraws, generate
+from .generate import GeneratorConfig, RequestDraws
 from .metrics import (_SCALARS, MetricsReport, aggregate, build_report, csv_header, csv_row,
                       scaling_slope)
 from .model import RiskSpec, _decode_json, _json_field
 from .online import Lanes, VariantConfig
-from .transform import linearize, safety_coefficients, to_soc
+from .transform import LinearizedInstance, safety_coefficients
 
 DEFAULT_VARIANTS = tuple(VariantConfig(v) for v in
                          ("vanilla", "marginal", "marginal-dynamic"))
@@ -84,31 +85,31 @@ def run_trial(plan: ExperimentPlan, n: int, trials):
 
     Returns one (seed, status, results) per trial, in order; ``results``
     maps variant name to its :class:`MetricsReport`.  All variants of a
-    trial share its instance; the tie-break seed equals the generation
+    trial share its requests; the tie-break seed equals the generation
     seed.
     """
+    n = int(n)
     seeds = [trial_seed(plan.master_seed, n, trial) for trial in trials]
     if not seeds:
         return []
-    configs = [replace(plan.generator, n=int(n), seed=seed) for seed in seeds]
+    rows = [RequestDraws(replace(plan.generator, n=n, seed=seed)) for seed in seeds]
     lanes = [(row, replace(variant, rng_seed=seed))
              for row, seed in enumerate(seeds) for variant in plan.variants]
+    risk, d = plan.generator.risk(), plan.generator.budget()
+    psi = safety_coefficients(risk)
     baselines: list[DualCertificate | None] = [None] * len(seeds)
     statuses = ["ok"] * len(seeds)
     if plan.compute_baseline:
-        for row, config in enumerate(configs):
+        for row, draws in enumerate(rows):
             try:
-                baselines[row] = minimize_dual(linearize(to_soc(generate(config))),
+                baselines[row] = minimize_dual(LinearizedInstance(draws, n, d, psi),
                                                tol=plan.tol)
             except ConvergenceError:
                 statuses[row] = "baseline_failed"
-    risk, d = plan.generator.risk(), plan.generator.budget()
-    psi = safety_coefficients(risk)
-    limits = _Limits(RiskSpec(risk.eta, risk.gamma_tilde, psi), int(n) * d)
-    rows = [RequestDraws(config) for config in configs]
+    limits = _Limits(RiskSpec(risk.eta, risk.gamma_tilde, psi), n * d)
 
     results: list[dict[str, MetricsReport]] = [{} for _ in seeds]
-    for (row, config), trace in zip(lanes, Lanes(rows, int(n), d, psi, lanes).run()):
+    for (row, config), trace in zip(lanes, Lanes(rows, n, d, psi, lanes).run()):
         results[row][config.variant] = build_report(limits, trace, baselines[row])
     return list(zip(seeds, statuses, results))
 

@@ -183,21 +183,15 @@ def aggregate(trials: list[MetricsReport]) -> dict:
     if not trials:
         raise DomainError("aggregate needs at least one trial")
 
-    def _stats(values: np.ndarray) -> tuple:
+    def _stats(values: list) -> dict:
+        values = np.array(values)
         mean = values.mean(axis=0)
         std = values.std(axis=0, ddof=1) if len(values) > 1 else np.zeros_like(mean)
-        return mean, std
+        return {"mean": mean.tolist(), "std": std.tolist()}
 
-    out: dict = {}
-    for name in _SCALARS:
-        mean, std = _stats(np.array([getattr(t, name) for t in trials]))
-        out[name] = {"mean": float(mean), "std": float(std)}
-    per_names = trials[0].per_constraint.keys()
-    per_out = {}
-    for name in per_names:
-        mean, std = _stats(np.array([t.per_constraint[name] for t in trials]))
-        per_out[name] = {"mean": mean.tolist(), "std": std.tolist()}
-    out["per_constraint"] = per_out
+    out: dict = {name: _stats([getattr(t, name) for t in trials]) for name in _SCALARS}
+    out["per_constraint"] = {name: _stats([t.per_constraint[name] for t in trials])
+                             for name in trials[0].per_constraint}
     return out
 
 
@@ -212,13 +206,8 @@ CSV_VERSION = "socalloc-metrics-v1"
 
 def csv_header(m: int) -> str:
     cols = ["experiment", "variant", "n", "trial", "seed", "status"]
-    cols += list(_SCALARS)
-    for j in range(1, m + 1):
-        cols.append(f"prob_dev_{j}")
-    for j in range(1, m + 1):
-        cols.append(f"norm_ce_{j}")
-    for j in range(1, m + 1):
-        cols.append(f"raw_ce_{j}")
+    cols += list(_SCALARS) + [f"{key}_{j}" for key in ("prob_dev", "norm_ce", "raw_ce")
+                              for j in range(1, m + 1)]
     return (f"# {CSV_VERSION} columns: " + ",".join(cols) + "\n"
             + ",".join(cols) + "\n")
 
@@ -229,8 +218,5 @@ def csv_row(experiment: str, variant: str, n: int, trial: int, seed: int,
     cells += [repr(getattr(report, name)) for name in _SCALARS]
     for key in ("probability_deviation", "normalized_ce", "raw_ce"):
         vec = report.per_constraint.get(key)
-        if vec is None:
-            cells += ["nan"] * m
-        else:
-            cells += [repr(float(v)) for v in vec]
+        cells += ["nan"] * m if vec is None else [repr(float(v)) for v in vec]
     return ",".join(cells) + "\n"

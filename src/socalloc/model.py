@@ -113,10 +113,8 @@ class Instance:
     risk: RiskSpec = field(default_factory=RiskSpec)
 
     def __post_init__(self):
-        object.__setattr__(self, "c", _frozen(self.c))
-        object.__setattr__(self, "a_bar", _frozen(self.a_bar))
-        object.__setattr__(self, "k_diag", _frozen(self.k_diag))
-        object.__setattr__(self, "d", _frozen(self.d))
+        for name in ("c", "a_bar", "k_diag", "d"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
         n, m, k = self.a_bar.shape
         if self.c.shape != (n, k) or self.k_diag.shape != (n, m, k):
             raise StructuralError(
@@ -152,6 +150,18 @@ class Instance:
     def budget(self) -> np.ndarray:
         """Total budget n * d, shape (m,)."""
         return self.n * self.d
+
+
+class InstanceRows:
+    """Row source over one instance: ``fill(start, c, a_bar, k_diag)`` copies
+    requests start.. as :class:`~socalloc.generate.RequestDraws` draws them."""
+
+    def __init__(self, instance: Instance):
+        self.fields, self.k = (instance.c, instance.a_bar, instance.k_diag), instance.k
+
+    def fill(self, start: int, *out: np.ndarray):
+        for dst, src in zip(out, self.fields):
+            dst[...] = src[start:start + len(dst)]
 
 
 @dataclass(frozen=True)
@@ -338,6 +348,18 @@ def save_instance(instance: Instance, path) -> None:
         pass
 
 
+def _owner(a: np.ndarray) -> np.ndarray:
+    """The 1-D array ``np.load`` read ``a`` into, reshaped and frozen for
+    :func:`_frozen` to adopt, if ``a`` is a C-order view of all of it; else ``a``."""
+    owner = a.base
+    if (isinstance(owner, np.ndarray) and owner.base is None and owner.ndim == 1
+            and owner.dtype == a.dtype and owner.size == a.size and a.flags.c_contiguous):
+        owner.shape = a.shape
+        owner.setflags(write=False)
+        return owner
+    return a
+
+
 def _sidecar_arrays(path: Path) -> dict | None:
     """The arrays of ``path``'s sidecar if it holds the SHA-256 of the
     JSON file ``path``, hashed in chunks; None if it is missing, stale or
@@ -350,7 +372,7 @@ def _sidecar_arrays(path: Path) -> dict | None:
             if not np.array_equal(z["sha256"], np.frombuffer(digest, dtype=np.uint8)):
                 return None
             names = ("c", "a_bar", "k_diag", "d") + tuple(r for r in _RISK_FIELDS if r in z)
-            return {name: z[name] for name in names}
+            return {name: _owner(z[name]) for name in names}
     except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile):
         return None
 

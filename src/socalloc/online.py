@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, StructuralError
-from .model import Instance, SolutionTrace
+from .model import Instance, InstanceRows, SolutionTrace
 from .transform import LinearizedInstance, linear_columns
 
 VARIANTS = ("vanilla", "marginal", "marginal-dynamic")
@@ -72,23 +72,11 @@ def tie_rng(seed: int, t: int) -> np.random.Generator:
     return np.random.default_rng((seed, t))
 
 
-class InstanceRows:
-    """Row source over one instance: ``fill(start, c, a_bar, k_diag)`` copies
-    requests start.. as :class:`~socalloc.generate.RequestDraws` draws them."""
-
-    def __init__(self, instance: Instance):
-        self.fields, self.k = (instance.c, instance.a_bar, instance.k_diag), instance.k
-
-    def fill(self, start: int, *out: np.ndarray):
-        for dst, src in zip(out, self.fields):
-            dst[...] = src[start:start + len(dst)]
-
-
 class Lanes:
     """B runs of the online rule, stepping in lockstep.
 
     ``rows`` holds one row source per instance, with ``k`` and
-    ``fill(start, c, a_bar, k_diag)`` as :class:`InstanceRows` and
+    ``fill(start, c, a_bar, k_diag)`` as :class:`~socalloc.model.InstanceRows` and
     :class:`~socalloc.generate.RequestDraws` have; the runs share ``n``,
     ``d`` and ``psi``.  Each lane is a (row, config) pair: the config's
     variant runs on that row with the config's tie seed.  At step t every
@@ -327,9 +315,9 @@ def run_online(instance: Instance, lin: LinearizedInstance,
                limit: int | None = None) -> SolutionTrace:
     """One pass of the configured variant; returns the completed trace.
 
-    ``lin`` must be the linearization of ``instance`` itself, not of
-    another instance of the same shape; the run reads only ``instance``.
+    ``lin`` must be the linearization of ``instance`` itself (its revenues
+    and budget), not of another instance; the run reads only ``instance``.
     """
-    if lin.base is not instance:
+    if not (np.array_equal(lin.c, instance.c) and np.array_equal(lin.d, instance.d)):
         raise StructuralError("linearization was built from a different instance")
     return OnlineSolver(instance, config).run(limit=limit)

@@ -14,42 +14,45 @@ where gamma is the per-scheme standard deviation vector.  For one-hot
 selections the per-step standard deviation equals gamma . x_t exactly,
 and summing those over t never exceeds the joint square root, so every
 solution feasible in cone form stays feasible for the linear columns.
+A :class:`LinearizedInstance` holds only what the baseline's dual reads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
 from .gaussian import safety_coefficient
-from .model import Instance, RiskSpec
+from .generate import CHUNK
+from .model import Instance, InstanceRows, RiskSpec, _frozen
 
 
-@dataclass(frozen=True)
 class LinearizedInstance:
-    """An instance together with its per-request pricing columns.
-
-    Construction refuses a base without psi (see :func:`to_soc`) and
-    writes the columns once, resource-major: ``columns`` is a read-only,
-    C-contiguous (m, n, k) array, so ``columns.reshape(m, n * k)`` is one
-    matrix without a copy, and ``columns[j, t, l]`` is a_tilde_tj[l].
+    """Revenues ``c`` (n, k), per-step budget ``d`` (m,), ``budget`` = n d and
+    the linear columns of n requests, read CHUNK at a time from ``rows``, a
+    row source with ``k`` and ``fill(start, c, a_bar, k_diag)`` such as
+    :class:`~socalloc.generate.RequestDraws`, so a_bar and k_diag are never
+    held whole.  ``columns`` is read-only, C-contiguous and resource-major:
+    ``columns[j, t, l]`` is a_tilde_tj[l].  Refuses psi = None (see :func:`to_soc`).
     """
 
-    base: Instance
-    columns: np.ndarray = field(init=False, repr=False)  # (m, n, k)
-
-    def __post_init__(self):
-        base, psi = self.base, self.base.risk.psi
+    def __init__(self, rows, n: int, d: np.ndarray, psi: np.ndarray | None):
         if psi is None:
             raise ConfigError("instance has no safety coefficients; apply to_soc first")
-        n, m, k = base.a_bar.shape
-        columns = np.empty((m, n, k))
-        linear_columns(base.a_bar, base.k_diag, psi, n, out=columns.transpose(1, 0, 2))
-        columns.setflags(write=False)
-        object.__setattr__(self, "columns", columns)
+        self.d = _frozen(d)
+        self.n, self.m, self.k, self.budget = n, len(self.d), rows.k, _frozen(n * self.d)
+        self.c, self.columns = np.empty((n, self.k)), np.empty((self.m, n, self.k))
+        a_bar, k_diag = np.empty((CHUNK, self.m, self.k)), np.empty((CHUNK, self.m, self.k))
+        for start in range(0, n, CHUNK):
+            block = slice(start, min(start + CHUNK, n))
+            size = block.stop - start
+            rows.fill(start, self.c[block], a_bar[:size], k_diag[:size])
+            linear_columns(a_bar[:size], k_diag[:size], psi, n,
+                           out=self.columns[:, block].transpose(1, 0, 2))
+        self.c.setflags(write=False)
+        self.columns.setflags(write=False)
 
 
 def safety_coefficients(risk: RiskSpec) -> np.ndarray:
@@ -107,4 +110,5 @@ def linearize(instance: Instance) -> LinearizedInstance:
     Requires psi (see :func:`to_soc`); with psi = 0 the columns reduce
     to the plain means.
     """
-    return LinearizedInstance(instance)
+    return LinearizedInstance(InstanceRows(instance), instance.n, instance.d,
+                              instance.risk.psi)

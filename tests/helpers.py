@@ -125,13 +125,13 @@ def lp_optimum(lin) -> float:
     """Optimum of the linear relaxation max c . x over x_t in [0, 1]^k
     with sum_l x_tl <= 1 and sum_t A_t x_t <= b, by HiGHS (scipy)."""
     from scipy import optimize, sparse
-    n, m, k = lin.base.n, lin.base.m, lin.base.k
+    n, m, k = lin.n, lin.m, lin.k
     rows_res = sparse.csr_matrix(lin.columns.reshape(m, n * k))
     rows_req = sparse.kron(sparse.eye(n), np.ones((1, k)), format="csr")
     res = optimize.linprog(
-        -lin.base.c.ravel(),
+        -lin.c.ravel(),
         A_ub=sparse.vstack([rows_res, rows_req]),
-        b_ub=np.concatenate([lin.base.budget, np.ones(n)]),
+        b_ub=np.concatenate([lin.budget, np.ones(n)]),
         bounds=(0, 1), method="highs")
     assert res.status == 0, res.message
     return -res.fun
@@ -151,22 +151,22 @@ def greedy_primal(lin) -> tuple[list, float]:
     revenue lower-bounds the relaxation optimum, so it pairs with a dual
     certificate as a weak-duality sandwich.
     """
-    inst, a = lin.base, a_tilde(lin)
-    b = inst.budget
-    used = np.zeros(inst.m)
+    a = a_tilde(lin)
+    b = lin.budget
+    used = np.zeros(lin.m)
     decisions: list = []
     revenue = 0.0
-    for t in range(inst.n):
+    for t in range(lin.n):
         pick = None
-        for l in np.argsort(-inst.c[t]):
-            if inst.c[t, l] <= 0:
+        for l in np.argsort(-lin.c[t]):
+            if lin.c[t, l] <= 0:
                 break
             if np.all(used + a[t, :, l] <= b):
                 pick = int(l)
                 break
         if pick is not None:
             used += a[t, :, pick]
-            revenue += float(inst.c[t, pick])
+            revenue += float(lin.c[t, pick])
         decisions.append(pick)
     return decisions, revenue
 
@@ -175,8 +175,8 @@ def smoothed_by_resource(prices, lin, mu: float):
     """Smoothed dual f_mu, its gradient, its Hessian and the revenue of its
     softmax weights at ``prices``, from per-request einsums over a_tilde
     and one loop over resources."""
-    a, b = a_tilde(lin), lin.base.budget
-    reduced = lin.base.c - np.einsum("j,tjk->tk", prices, a)
+    a, b = a_tilde(lin), lin.budget
+    reduced = lin.c - np.einsum("j,tjk->tk", prices, a)
     top = np.maximum(reduced.max(axis=1), 0.0)
     pi = np.exp(np.maximum((reduced - top[:, None]) / mu, -700.0))
     z = np.exp(np.maximum(-top / mu, -700.0)) + pi.sum(axis=1)
@@ -186,7 +186,7 @@ def smoothed_by_resource(prices, lin, mu: float):
     for i in range(len(b)):
         second[i, i:] = second[i:, i] = np.einsum("tk,tjk->j", pi * a[:, i, :], a[:, i:, :])
     return (float(prices @ b + (top + mu * np.log(z)).sum()), b - mean.sum(axis=0),
-            (second - mean.T @ mean) / mu, float((pi * lin.base.c).sum()))
+            (second - mean.T @ mean) / mu, float((pi * lin.c).sum()))
 
 
 def forced_run(instance, decisions, variant: str = "marginal", start: float = 100.0):

@@ -289,7 +289,7 @@ class TestSmoothedPass:
         np.testing.assert_allclose(h, h_ref, rtol=1e-12, atol=1e-12 * n * a_max ** 2 / mu)
         assert np.array_equal(h, h.T)
         # the bound is the softmax weights' revenue, scaled down to fit every row
-        b = lin.base.budget
+        b = lin.budget
         fit = min(b[j] / max(b[j] - g_ref[j], b[j]) for j in range(m))
         assert low == pytest.approx(max(fit * revenue_ref, 0.0), rel=1e-12)
 

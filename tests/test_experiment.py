@@ -1,6 +1,7 @@
 """Experiment harness: file outputs, determinism, lane sets, seeding."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -48,6 +49,30 @@ class TestRunTrial:
         assert set(results) == {"vanilla", "marginal"}
         assert (results["vanilla"].baseline_value
                 == results["marginal"].baseline_value)
+
+    def test_certificate_holds_no_instance(self, monkeypatch):
+        # a certified trial is drawn straight into its revenues and columns:
+        # at n = 10000 building and certifying it peaked at 6.0 MB through an
+        # Instance and linearize, and at 3.0 MB drawn block by block
+        peaks = []
+
+        def traced(lin, **kw):
+            cert = minimize_dual(lin, **kw)
+            peaks.append(tracemalloc.get_traced_memory()[1] / 2 ** 20)
+            tracemalloc.stop()  # the lanes run untraced
+            return cert
+        monkeypatch.setattr("socalloc.experiment.minimize_dual", traced)
+        gen = GeneratorConfig("chi_square", n=10000, m=4, k=5, eta=ETA_GRID, seed=0)
+        plan = ExperimentPlan(generator=gen, n_grid=(10000,), trials=1,
+                              variants=(VariantConfig("vanilla"),),
+                              output_dir="unused", master_seed=7)
+        tracemalloc.start()
+        try:
+            [(_, status, _)] = run_trial(plan, 10000, [0])
+        finally:
+            tracemalloc.stop()
+        assert status == "ok" and len(peaks) == 1
+        assert peaks[0] < 4.5
 
     def test_baseline_skippable(self):
         gen = GeneratorConfig("uniform", n=20, m=4, k=5, eta=ETA_GRID, seed=0)

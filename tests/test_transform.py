@@ -7,7 +7,10 @@ import pytest
 
 from socalloc import (ConfigError, DomainError, GeneratorConfig, Instance,
                       LinearizedInstance, RiskSpec, generate, linearize, mean_excess,
-                      soc_lhs, to_soc)
+                      minimize_dual, soc_lhs, to_soc)
+from socalloc.generate import RequestDraws
+from socalloc.model import InstanceRows
+from socalloc.transform import safety_coefficients
 
 from helpers import (a_tilde, bisect_root, random_decisions, random_instance,
                      trace_by_recomputation)
@@ -109,7 +112,7 @@ class TestLinearize:
         with pytest.raises(ConfigError):
             linearize(inst)
         with pytest.raises(ConfigError):
-            LinearizedInstance(inst)
+            LinearizedInstance(InstanceRows(inst), inst.n, inst.d, inst.risk.psi)
 
     @pytest.mark.parametrize("experiment", ["uniform", "chi_square"])
     def test_columns_resource_major_and_frozen(self, experiment):
@@ -122,6 +125,30 @@ class TestLinearize:
         psi = inst.risk.psi
         expected = inst.a_bar + psi[:, None] / math.sqrt(inst.n) * np.sqrt(inst.k_diag)
         assert np.array_equal(a_tilde(lin), expected)
+
+
+class TestDrawnColumns:
+    """A certified cell draws each trial from the generator straight into its
+    revenues and columns, CHUNK requests at a time."""
+
+    @pytest.mark.parametrize("n", [1, 257, 513])  # 257, 513: a partial last block
+    @pytest.mark.parametrize("risk", [(ETA_GRID, None), (None, CAP_GRID), (ETA_GRID, CAP_GRID)],
+                             ids=["eta", "gamma_tilde", "both"])
+    @pytest.mark.parametrize("experiment", ["uniform", "chi_square"])
+    def test_equals_the_linearized_instance(self, experiment, risk, n):
+        config = GeneratorConfig(experiment, n=n, m=4, k=5, d=(1.0, 0.5, 2.0, 1.5),
+                                 eta=risk[0], gamma_tilde=risk[1], seed=n)
+        drawn = LinearizedInstance(RequestDraws(config), n, config.budget(),
+                                   safety_coefficients(config.risk()))
+        lin = linearize(to_soc(generate(config)))
+        for name in ("c", "columns", "d", "budget"):
+            got, want = getattr(drawn, name), getattr(lin, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+        assert (drawn.n, drawn.m, drawn.k) == (n, 4, 5)
+        assert drawn.columns.flags.c_contiguous and not drawn.columns.flags.writeable
+        got, want = minimize_dual(drawn, tol=1e-6), minimize_dual(lin, tol=1e-6)
+        assert (got.value, got.iterations, got.gap) == (want.value, want.iterations, want.gap)
+        assert got.p_star.tobytes() == want.p_star.tobytes()
 
 
 class TestRelaxationDirection:
