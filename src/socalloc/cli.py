@@ -8,10 +8,14 @@ Subcommands compose through files:
     socalloc evaluate     -> metrics.csv     (instance + trace [+ certificate])
     socalloc experiment   -> out/metrics.csv, aggregate.json, scaling.json
 
-``generate`` also writes ``<out>.npz``, a binary copy of the instance's
-arrays with the SHA-256 of the JSON it wrote.  Readers take the arrays
-from it while that digest matches and decode the JSON otherwise; the
-JSON is the record, and deleting the copy is always safe.
+``generate`` writes the instance from the generator's draws, 256
+requests at a time, without building it, and also writes ``<out>.npz``,
+a binary copy of the instance's arrays with the SHA-256 of the JSON it
+wrote.  Readers take the arrays from it while that digest matches and
+decode the JSON otherwise; the JSON is the record, and deleting the
+copy is always safe.  The instance, trace, steps and certificate files
+are written under a temporary name and renamed into place, so a failed
+write leaves any earlier file as it was.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 """
@@ -28,10 +32,10 @@ import numpy as np
 from .baseline import DualCertificate, minimize_dual
 from .errors import ConvergenceError, DomainError, SocAllocError
 from .experiment import ExperimentPlan, run_experiment
-from .generate import GeneratorConfig, generate, stream_requests
+from .generate import GeneratorConfig, RequestDraws, stream_requests
 from .metrics import build_report, csv_header, csv_row
-from .model import (Instance, RiskSpec, _decode_json, load_instance, load_trace,
-                    save_instance, save_trace)
+from .model import (Instance, RiskSpec, _decode_json, _write_replacing, load_instance,
+                    load_trace, save_instance, save_trace)
 from .online import VARIANTS, OnlineSolver, VariantConfig
 from .transform import linearize, safety_coefficients, to_soc
 
@@ -147,10 +151,20 @@ def _cmd_generate(args) -> int:
             print(json.dumps({"t": t, "c": c.tolist(), "a_bar": a_bar.tolist(),
                               "k_diag": k_diag.tolist()}))
         return EXIT_OK
-    instance = generate(config)
-    save_instance(instance, args.out)
-    print(f"wrote {args.out} (n={instance.n}, m={instance.m}, k={instance.k})")
+    save_instance(RequestDraws(config), args.out, config.n, config.budget(), config.risk())
+    print(f"wrote {args.out} (n={config.n}, m={config.m}, k={config.k})")
     return EXIT_OK
+
+
+def _write_steps(fh, trace, values, prices) -> None:
+    """The per-step rows (t, scheme, best margin, prices), 256 at a time."""
+    fh.write(b"t,scheme,value,prices\n")
+    for start in range(0, len(values), 256):
+        rows = zip(range(start, start + 256), trace.decisions[start:start + 256],
+                   values[start:start + 256].tolist(), prices[start:start + 256].tolist())
+        fh.write("".join(f"{t},{'' if scheme is None else scheme},{value!r},"
+                         f"{';'.join(map(repr, row))}\n"
+                         for t, scheme, value, row in rows).encode())
 
 
 def _cmd_solve_online(args) -> int:
@@ -161,11 +175,7 @@ def _cmd_solve_online(args) -> int:
     save_trace(trace, args.out)
     if args.trace:
         steps_path = Path(args.out).with_suffix(".steps.csv")
-        with steps_path.open("w") as fh:
-            fh.write("t,scheme,value,prices\n")
-            for t, scheme, value, prices in solver.steps:
-                price_txt = ";".join(repr(float(p)) for p in prices)
-                fh.write(f"{t},{'' if scheme is None else scheme},{value!r},{price_txt}\n")
+        _write_replacing(steps_path, lambda fh: _write_steps(fh, trace, *solver.steps))
         print(f"wrote {steps_path}")
     accepted = sum(1 for d in trace.decisions if d is not None)
     print(f"wrote {args.out} (objective={trace.objective:.6f}, "
@@ -175,7 +185,7 @@ def _cmd_solve_online(args) -> int:
 
 def _cmd_baseline(args) -> int:
     cert = minimize_dual(linearize(to_soc(load_instance(args.instance))), tol=args.tol)
-    Path(args.out).write_text(json.dumps(cert.to_dict()))
+    _write_replacing(Path(args.out), lambda fh: fh.write(json.dumps(cert.to_dict()).encode()))
     print(f"wrote {args.out} (value={cert.value:.6f}, gap={cert.gap:.3g}, "
           f"iterations={cert.iterations})")
     return EXIT_OK

@@ -308,22 +308,35 @@ def _request_json(c: list, a_bar: list, k_diag: list) -> str:
     return json.dumps({"c": c, "a_bar": a_bar, "k_diag": k_diag})
 
 
-def save_instance(instance: Instance, path) -> None:
-    """Write ``instance`` to the JSON file ``path``, the record, and its
+def save_instance(instance, path, n: int | None = None, d=None, risk=RiskSpec()) -> None:
+    """Write an instance to the JSON file ``path``, the record, and its
     arrays with the SHA-256 of that JSON to the sidecar ``<path>.npz``.
 
-    The JSON is streamed, 256 requests at a time, and hashed as written,
-    so it is never held whole.  Both files go through
-    :func:`_write_replacing`; a failed JSON write raises, and if the
-    sidecar cannot be written the JSON alone stands.  The sidecar spares
-    :func:`load_instance` the JSON decode.
+    ``instance`` is an :class:`Instance`, or a row source as the lanes
+    read (:class:`InstanceRows`, :class:`~socalloc.generate.RequestDraws`)
+    of ``n`` requests with budget ``d`` and ``risk``, written without
+    being built.  Requests are taken 256 at a time: the JSON is streamed
+    and hashed as written, then each sidecar member is written block by
+    block, one pass over the source each, with ``np.savez``'s bytes and
+    order.  Both files go through :func:`_write_replacing`; a failed JSON
+    write raises, and if the sidecar cannot be written the JSON alone
+    stands.  The sidecar spares :func:`load_instance` the JSON decode.
     """
     import hashlib  # here, not at the top: its import adds about 3 ms to every start-up
-    path = Path(path)
+    if isinstance(instance, Instance):
+        instance, n, d, risk = InstanceRows(instance), instance.n, instance.d, instance.risk
+    path, d, k = Path(path), np.asarray(d, dtype=float), instance.k
     sha256 = hashlib.sha256()
     head = json.dumps({
-        "n": instance.n, "m": instance.m, "k": instance.k, "d": instance.d.tolist(),
-        "risk": {name: v.tolist() for name, v in _risk_arrays(instance.risk).items()}})
+        "n": n, "m": len(d), "k": k, "d": d.tolist(),
+        "risk": {name: v.tolist() for name, v in _risk_arrays(risk).items()}})
+    buffers = np.empty((256, k)), np.empty((256, len(d), k)), np.empty((256, len(d), k))
+
+    def blocks():
+        for start in range(0, n, 256):
+            block = [x[:n - start] for x in buffers]
+            instance.fill(start, *block)
+            yield block
 
     def write(fh):
         def put(text: str) -> None:
@@ -331,19 +344,31 @@ def save_instance(instance: Instance, path) -> None:
             sha256.update(data)
             fh.write(data)
         put(head[:-1] + ', "requests": [')
-        for start in range(0, instance.n, 256):
-            block = slice(start, start + 256)
-            rows = zip(instance.c[block].tolist(), instance.a_bar[block].tolist(),
-                       instance.k_diag[block].tolist())
-            put((", " if start else "") + ", ".join(_request_json(*row) for row in rows))
+        for i, (c, a_bar, k_diag) in enumerate(blocks()):
+            rows = zip(c.tolist(), a_bar.tolist(), k_diag.tolist())
+            put((", " if i else "") + ", ".join(_request_json(*row) for row in rows))
         put("]}")
 
+    def write_sidecar(fh):
+        with zipfile.ZipFile(fh, "w", allowZip64=True) as z:
+            def member(name: str):
+                return z.open(name + ".npy", "w", force_zip64=True)
+            with member("sha256") as out:
+                np.lib.format.write_array(out, np.frombuffer(sha256.digest(), np.uint8))
+            for i, name in enumerate(("c", "a_bar", "k_diag")):
+                with member(name) as out:
+                    header = np.lib.format.header_data_from_array_1_0(buffers[i])
+                    header["shape"] = (n,) + buffers[i].shape[1:]
+                    np.lib.format.write_array_header_1_0(out, header)
+                    for block in blocks():
+                        out.write(memoryview(block[i]))
+            for name, array in {"d": d, **_risk_arrays(risk)}.items():
+                with member(name) as out:
+                    np.lib.format.write_array(out, array)
+
     _write_replacing(path, write)
-    arrays = {name: getattr(instance, name) for name in ("c", "a_bar", "k_diag", "d")}
-    arrays.update(_risk_arrays(instance.risk))
-    digest = np.frombuffer(sha256.digest(), dtype=np.uint8)
     try:
-        _write_replacing(_sidecar(path), lambda fh: np.savez(fh, sha256=digest, **arrays))
+        _write_replacing(_sidecar(path), write_sidecar)
     except OSError:
         pass
 
@@ -411,7 +436,7 @@ def _trace_from_dict(doc: dict) -> SolutionTrace:
 
 
 def save_trace(trace: SolutionTrace, path) -> None:
-    Path(path).write_text(json.dumps(_trace_to_dict(trace)))
+    _write_replacing(Path(path), lambda fh: fh.write(json.dumps(_trace_to_dict(trace)).encode()))
 
 
 def load_trace(path) -> SolutionTrace:

@@ -90,9 +90,10 @@ class Lanes:
     or for ``marginal-dynamic`` the remaining cone budget spread over
     the remaining steps, max((n d - G)/(n - t), 0) with G the exact cone
     usage so far.  ``prices`` holds the lanes' current prices, one row
-    per lane in the order given.  With ``record_steps``, ``steps[i]``
-    holds lane i's (t, scheme, best margin, prices after the step) per
-    step.
+    per lane in the order given.  With ``record_steps``, ``steps`` is a
+    pair of arrays filled as the lanes step: ``steps[0][i, t]`` is lane
+    i's best margin at step t and ``steps[1][i, t]`` its prices after
+    that step; its picks are in its trace.
 
     Every operation is elementwise per lane or a per-lane product, so a
     lane's arithmetic, and with it its trace, does not depend on the
@@ -120,7 +121,7 @@ class Lanes:
         self._mg, self._dyn = mg, dyn
         self.t = 0
         self.prices = np.zeros((B, m))
-        self.steps = [[] for _ in lanes] if record_steps else None
+        self.steps = (np.empty((B, n)), np.empty((B, n, m))) if record_steps else None
         self._decisions: list = []
         self._objective = np.zeros(B)
         self._max_dual_inf = np.zeros(B)
@@ -265,13 +266,9 @@ class Lanes:
         picks = picks.copy()
         self._decisions.append(picks)
         if self.steps is not None:
-            best = margins[:steps, :, 0].max(-1)
-            prices = P[1:steps + 1, :, 0].copy()
-            for i, lane in enumerate(self._order):
-                self.steps[lane].extend(
-                    (t0 + s, None if pick == 0 else pick - 1, value, prices[s, i])
-                    for s, (pick, value) in enumerate(zip(picks[:, i].tolist(),
-                                                          best[:, i].tolist())))
+            values, prices = self.steps
+            values[self._order, t0:self.t] = margins[:steps, :, 0].max(-1).T
+            prices[self._order, t0:self.t] = P[1:steps + 1, :, 0].transpose(1, 0, 2)
         return picks
 
     def _break_ties(self, e, pick, t):
@@ -290,7 +287,8 @@ class OnlineSolver:
     decision at step t depends only on data revealed at steps <= t and
     the seed, so a run truncated after any prefix reproduces the full
     run's first decisions exactly.  With ``record_steps``, ``steps``
-    holds (t, scheme, best margin, prices after the update) per step.
+    holds two arrays over the steps taken so far: each step's best
+    margin, shape (t,), and the prices after its update, shape (t, m).
     """
 
     def __init__(self, instance: Instance,
@@ -304,7 +302,8 @@ class OnlineSolver:
 
     @property
     def steps(self):
-        return None if self.lanes.steps is None else self.lanes.steps[0]
+        record, t = self.lanes.steps, self.lanes.t
+        return None if record is None else (record[0][0, :t], record[1][0, :t])
 
     def run(self, limit: int | None = None) -> SolutionTrace:
         return self.lanes.run(limit)[0]

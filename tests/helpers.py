@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 
@@ -187,6 +189,47 @@ def smoothed_by_resource(prices, lin, mu: float):
         second[i, i:] = second[i:, i] = np.einsum("tk,tjk->j", pi * a[:, i, :], a[:, i:, :])
     return (float(prices @ b + (top + mu * np.log(z)).sum()), b - mean.sum(axis=0),
             (second - mean.T @ mean) / mu, float((pi * lin.c).sum()))
+
+
+def traced_peak_mb(fn, *args, warm=None) -> float:
+    """The tracemalloc peak, in MiB, of one call ``fn(*args)``.
+
+    tracemalloc finds the line of every allocation, and CPython 3.11
+    scans the code's line table for it, unless a profile function has
+    given the code a line array.  So ``warm``, if given, is called first
+    under a no-op profile function: a small call through the same code,
+    after which the traced call runs several times faster.  The peak is
+    that of the traced call alone, as without ``warm``.
+    """
+    if warm is not None:
+        sys.setprofile(lambda *_: None)
+        try:
+            warm()
+        finally:
+            sys.setprofile(None)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def steps_csv(rows) -> str:
+    """A steps.csv as the per-step recorder wrote it: a header, then one
+    line per (t, scheme, best margin, prices) tuple, formatted alone."""
+    lines = ["t,scheme,value,prices\n"]
+    for t, scheme, value, prices in rows:
+        price_txt = ";".join(repr(float(p)) for p in prices)
+        lines.append(f"{t},{'' if scheme is None else scheme},{float(value)!r},{price_txt}\n")
+    return "".join(lines)
+
+
+def zip_members(path) -> list:
+    """(name, bytes) of each member of the zip file ``path``, in order."""
+    import zipfile
+    with zipfile.ZipFile(path) as z:
+        return [(info.filename, z.read(info)) for info in z.infolist()]
 
 
 def forced_run(instance, decisions, variant: str = "marginal", start: float = 100.0):

@@ -1,13 +1,18 @@
 """CLI: subcommand pipeline, exit codes, pipeline/harness equivalence."""
 
+import errno
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from socalloc import GeneratorConfig, generate, trial_seed
+from socalloc import (GeneratorConfig, OnlineSolver, VariantConfig, generate, load_instance,
+                      save_instance, to_soc, trial_seed)
 from socalloc.cli import main
+
+from helpers import step, steps_csv, traced_peak_mb, zip_members
 
 ETA = "0.65,0.75,0.85,0.95"
 
@@ -492,6 +497,110 @@ class TestSolveOnline:
         for suffix in (".json", ".steps.csv"):
             assert ((tmp_path / f"plain{suffix}").read_bytes()
                     == (tmp_path / f"patched{suffix}").read_bytes()), suffix
+
+
+class TestGenerateFromDraws:
+    """generate writes the instance from the draws, 256 requests at a time,
+    without building it: its files are those the library writes for the
+    built instance."""
+
+    @pytest.mark.parametrize("caps", [None, (0.2, 0.4)], ids=["eta", "eta-caps"])
+    @pytest.mark.parametrize("experiment", ["uniform", "chi-square"])
+    @pytest.mark.parametrize("n", [1, 257, 513])  # one request; one and two blocks and one
+    def test_files_equal_the_library_save(self, tmp_path, capsys, n, experiment, caps):
+        argv = ["generate", "--experiment", experiment, "--n", str(n), "--m", "2", "--k", "3",
+                "--eta", "0.7,0.9", "--seed", "5"]
+        if caps is not None:
+            argv += ["--gamma-tilde", ",".join(map(repr, caps))]
+        assert run(tmp_path, *argv) == 0
+        save_instance(generate(GeneratorConfig(
+            experiment.replace("-", "_"), n=n, m=2, k=3, eta=(0.7, 0.9), gamma_tilde=caps,
+            seed=5)), tmp_path / "library.json")
+        assert ((tmp_path / "instance.json").read_bytes()
+                == (tmp_path / "library.json").read_bytes())
+        assert (zip_members(tmp_path / "instance.json.npz")
+                == zip_members(tmp_path / "library.json.npz"))
+
+    def test_write_holds_no_whole_instance(self, tmp_path, capsys):
+        # the built instance and np.savez's copies of its arrays peaked at 5.2 MiB;
+        # drawn and written 256 requests at a time, at 1.3 MiB
+        def generate_n(n):
+            assert run(tmp_path, "generate", "--experiment", "uniform", "--n", str(n),
+                       "--m", "4", "--k", "5", "--eta", ETA,
+                       "--gamma-tilde", "0.2,0.3,0.4,0.5", "--seed", "7") == 0
+        assert traced_peak_mb(generate_n, 10000, warm=lambda: generate_n(10)) < 3
+
+
+class TestStepsFile:
+    def test_rows_equal_the_per_step_recorder(self, tmp_path, capsys):
+        # n = 1100 spans two lane blocks (1024 steps) and five 256-row blocks
+        n = 1100
+        assert run(tmp_path, "generate", "--experiment", "chi-square", "--n", str(n),
+                   "--m", "3", "--k", "4", "--eta", "0.9,0.8,0.7", "--seed", "6") == 0
+        assert run(tmp_path, "solve-online", "--instance", "instance.json",
+                   "--variant", "marginal-dynamic", "--seed", "6", "--trace") == 0
+        solver = OnlineSolver(to_soc(load_instance(tmp_path / "instance.json")),
+                              VariantConfig("marginal-dynamic", 6), record_steps=True)
+        rows = []
+        for t in range(n):
+            scheme = step(solver)
+            rows.append((t, scheme, *(record[-1] for record in solver.steps)))
+        assert any(scheme is None for _, scheme, *_ in rows)
+        assert (tmp_path / "trace.steps.csv").read_text() == steps_csv(rows)
+
+
+class _FillingFile:
+    """A file opened for writing that takes ``room`` more bytes, then
+    raises ENOSPC partway through a write."""
+
+    def __init__(self, fh, room: int, written: list):
+        self.fh, self.room, self.written = fh, room, written
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        data = data if isinstance(data, str) else bytes(data)
+        self.written.append(min(len(data), self.room))
+        self.fh.write(data[:self.room])
+        if len(data) > self.room:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.room -= len(data)
+        return len(data)
+
+
+class TestReplacingWrites:
+    """steps.csv, trace.json and certificate.json are written under a
+    temporary name and renamed: a write that fails partway leaves no part
+    file, and an earlier file as it was (files written before it stand)."""
+
+    @pytest.mark.parametrize("name, argv, room", [
+        ("trace.steps.csv", ["solve-online", "--trace", "--variant"], 30000),
+        ("trace.json", ["solve-online", "--trace", "--variant"], 100),
+        ("certificate.json", ["baseline", "--tol"], 20),
+    ])
+    def test_failed_write_keeps_the_earlier_file(self, tmp_path, capsys, monkeypatch,
+                                                 name, argv, room):
+        assert run(tmp_path, "generate", "--experiment", "uniform", "--n", "600",
+                   "--m", "2", "--k", "3", "--eta", "0.9,0.8", "--seed", "4") == 0
+        first, second = ("vanilla", "marginal") if argv[0] == "solve-online" else ("1e-6", "1e-3")
+        assert run(tmp_path, *argv, first, "--instance", "instance.json") == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        open_, written = Path.open, []
+
+        def open_filling(self, mode="r", *args, **kwargs):
+            fh = open_(self, mode, *args, **kwargs)
+            return (_FillingFile(fh, room, written)
+                    if "w" in mode and self.name.startswith(name) else fh)
+        monkeypatch.setattr(Path, "open", open_filling)
+        assert run(tmp_path, *argv, second, "--instance", "instance.json") == 2
+        assert "No space left" in capsys.readouterr().err
+        assert sum(written) == room and len(written) >= 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before)
+        assert (tmp_path / name).read_bytes() == before[name]
 
 
 class TestInstanceSidecar:

@@ -2,7 +2,7 @@
 
 import json
 import tempfile
-import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +18,7 @@ from socalloc import model
 from socalloc.model import _instance_from_dict, _trace_from_dict, _trace_to_dict
 
 from helpers import (instance_json_bytes, random_decisions, random_instance,
-                     trace_by_recomputation)
+                     trace_by_recomputation, traced_peak_mb, zip_members)
 
 
 def empty_trace(m: int, n: int = 0) -> SolutionTrace:
@@ -444,6 +444,20 @@ class TestSidecar:
         monkeypatch.setattr(model, "_instance_from_dict", decode)
         assert same_instance(load_instance(path), inst)
 
+    @pytest.mark.parametrize("n", [7, 513])  # 513: two whole blocks and one request
+    def test_members_equal_np_savez(self, tmp_path, n):
+        # written block by block, each member holds the bytes np.savez writes
+        inst = to_soc(random_instance(np.random.default_rng(n), n=n, m=2, k=3,
+                                      eta=(0.6, 0.9), gamma_tilde=(0.2, 0.4)))
+        save_instance(inst, tmp_path / "instance.json")
+        with np.load(tmp_path / "instance.json.npz") as z:
+            digest = z["sha256"]
+        np.savez(tmp_path / "savez.npz", sha256=digest, c=inst.c, a_bar=inst.a_bar,
+                 k_diag=inst.k_diag, d=inst.d, eta=inst.risk.eta,
+                 gamma_tilde=inst.risk.gamma_tilde, psi=inst.risk.psi)
+        assert (zip_members(tmp_path / "instance.json.npz")
+                == zip_members(tmp_path / "savez.npz"))
+
     @pytest.mark.parametrize("spoil", [truncated, not_a_zip, empty,
                                        _rewrite_sidecar(missing_array),
                                        _rewrite_sidecar(short_digest),
@@ -454,16 +468,6 @@ class TestSidecar:
         assert same_instance(load_instance(path), inst)
 
 
-def traced_peak_mb(fn, *args) -> float:
-    """The tracemalloc peak, in MB, of one call ``fn(*args)``."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] / 2 ** 20
-    finally:
-        tracemalloc.stop()
-
-
 class TestStreamedFile:
     """save_instance writes the JSON 256 requests at a time under a
     temporary name and renames it; load_instance hashes it in chunks."""
@@ -472,10 +476,12 @@ class TestStreamedFile:
     def saved_large(self, tmp_path_factory):
         """An n = 10000 instance saved under tracemalloc: its file and the
         save's peak in MB."""
-        inst = to_soc(generate(GeneratorConfig("uniform", n=10000, m=4, k=5,
-                                               eta=(0.65, 0.75, 0.85, 0.95), seed=7)))
+        config = GeneratorConfig("uniform", n=10000, m=4, k=5,
+                                 eta=(0.65, 0.75, 0.85, 0.95), seed=7)
+        inst, small = (to_soc(generate(replace(config, n=n))) for n in (10000, 10))
         path = tmp_path_factory.mktemp("large") / "instance.json"
-        return path, traced_peak_mb(save_instance, inst, path)
+        return path, traced_peak_mb(save_instance, inst, path, warm=lambda: save_instance(
+            small, path.with_name("small.json")))
 
     @pytest.mark.parametrize("n", [1, 513])  # 513: two whole blocks and one request
     @pytest.mark.parametrize("risky", [False, True], ids=["riskless", "risk"])

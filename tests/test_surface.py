@@ -49,7 +49,7 @@ def test_all_names_resolve():
 #: Layers the traced benchmark wraps where each entry module looks them up
 #: (perfbench/spans.py skips a missing one, and its layer then reads 0).
 WRAPPED = {"socalloc.experiment": ("run_trial", "minimize_dual", "build_report"),
-           "socalloc.cli": ("generate", "linearize", "minimize_dual", "build_report",
+           "socalloc.cli": ("linearize", "minimize_dual", "build_report",
                             "load_instance", "save_instance", "save_trace")}
 
 SPANS_SCRIPT = """
