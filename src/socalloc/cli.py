@@ -8,14 +8,13 @@ Subcommands compose through files:
     socalloc evaluate     -> metrics.csv     (instance + trace [+ certificate])
     socalloc experiment   -> out/metrics.csv, aggregate.json, scaling.json
 
-``generate`` writes the instance from the generator's draws, 256
-requests at a time, without building it, and also writes ``<out>.npz``,
-a binary copy of the instance's arrays with the SHA-256 of the JSON it
-wrote.  Readers take the arrays from it while that digest matches and
-decode the JSON otherwise; the JSON is the record, and deleting the
-copy is always safe.  The instance, trace, steps and certificate files
-are written under a temporary name and renamed into place, so a failed
-write leaves any earlier file as it was.
+``generate`` draws the requests into the file 256 at a time, building no
+instance, and also writes ``<out>.npz``, a binary copy of the instance's
+arrays with the SHA-256 of the JSON it wrote.  Readers take the arrays
+from it while that digest matches and decode the JSON otherwise; the
+JSON is the record, and deleting the copy is always safe.  Instance,
+trace, steps and certificate files are written under a temporary name
+and renamed, so a failed write leaves an earlier file as it was.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 """

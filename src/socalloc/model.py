@@ -323,9 +323,10 @@ def save_instance(instance, path, n: int | None = None, d=None, risk=RiskSpec())
     stands.  The sidecar spares :func:`load_instance` the JSON decode.
     """
     import hashlib  # here, not at the top: its import adds about 3 ms to every start-up
+    rows = instance
     if isinstance(instance, Instance):
-        instance, n, d, risk = InstanceRows(instance), instance.n, instance.d, instance.risk
-    path, d, k = Path(path), np.asarray(d, dtype=float), instance.k
+        rows, n, d, risk = InstanceRows(instance), instance.n, instance.d, instance.risk
+    path, d, k = Path(path), np.asarray(d, dtype=float), rows.k
     sha256 = hashlib.sha256()
     head = json.dumps({
         "n": n, "m": len(d), "k": k, "d": d.tolist(),
@@ -335,7 +336,7 @@ def save_instance(instance, path, n: int | None = None, d=None, risk=RiskSpec())
     def blocks():
         for start in range(0, n, 256):
             block = [x[:n - start] for x in buffers]
-            instance.fill(start, *block)
+            rows.fill(start, *block)
             yield block
 
     def write(fh):
@@ -345,8 +346,8 @@ def save_instance(instance, path, n: int | None = None, d=None, risk=RiskSpec())
             fh.write(data)
         put(head[:-1] + ', "requests": [')
         for i, (c, a_bar, k_diag) in enumerate(blocks()):
-            rows = zip(c.tolist(), a_bar.tolist(), k_diag.tolist())
-            put((", " if i else "") + ", ".join(_request_json(*row) for row in rows))
+            block = zip(c.tolist(), a_bar.tolist(), k_diag.tolist())
+            put((", " if i else "") + ", ".join(_request_json(*row) for row in block))
         put("]}")
 
     def write_sidecar(fh):

@@ -6,6 +6,7 @@ import json
 import math
 import sys
 import tracemalloc
+import zipfile
 
 import numpy as np
 
@@ -227,7 +228,6 @@ def steps_csv(rows) -> str:
 
 def zip_members(path) -> list:
     """(name, bytes) of each member of the zip file ``path``, in order."""
-    import zipfile
     with zipfile.ZipFile(path) as z:
         return [(info.filename, z.read(info)) for info in z.infolist()]
 

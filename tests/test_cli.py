@@ -522,8 +522,8 @@ class TestGenerateFromDraws:
                 == zip_members(tmp_path / "library.json.npz"))
 
     def test_write_holds_no_whole_instance(self, tmp_path, capsys):
-        # the built instance and np.savez's copies of its arrays peaked at 5.2 MiB;
-        # drawn and written 256 requests at a time, at 1.3 MiB
+        # the built instance and np.savez's copies of its arrays peaked at 5.0 MiB;
+        # drawn and written 256 requests at a time, at 1.1 MiB
         def generate_n(n):
             assert run(tmp_path, "generate", "--experiment", "uniform", "--n", str(n),
                        "--m", "4", "--k", "5", "--eta", ETA,
