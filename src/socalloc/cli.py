@@ -12,9 +12,10 @@ Subcommands compose through files:
 instance, and also writes ``<out>.npz``, a binary copy of the instance's
 arrays with the SHA-256 of the JSON it wrote.  Readers take the arrays
 from it while that digest matches and decode the JSON otherwise; the
-JSON is the record, and deleting the copy is always safe.  Instance,
-trace, steps and certificate files are written under a temporary name
-and renamed, so a failed write leaves an earlier file as it was.
+JSON is the record, and deleting the copy is always safe.  Every file is
+written under a temporary name and renamed, so a failed write leaves the
+earlier files as they were.  ``evaluate`` refuses a certificate whose
+value is not the dual value of its prices on the instance it scores.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 """
@@ -33,10 +34,10 @@ from .errors import ConvergenceError, DomainError, SocAllocError
 from .experiment import ExperimentPlan, run_experiment
 from .generate import GeneratorConfig, RequestDraws, stream_requests
 from .metrics import build_report, csv_header, csv_row
-from .model import (Instance, RiskSpec, _decode_json, _write_replacing, load_instance,
-                    load_trace, save_instance, save_trace)
+from .model import (CHUNK, Instance, RiskSpec, _decode_json, _write_replacing, blocks,
+                    load_instance, load_trace, save_instance, save_trace)
 from .online import VARIANTS, OnlineSolver, VariantConfig
-from .transform import linearize, safety_coefficients, to_soc
+from .transform import linear_columns, linearize, safety_coefficients, to_soc
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -150,17 +151,17 @@ def _cmd_generate(args) -> int:
             print(json.dumps({"t": t, "c": c.tolist(), "a_bar": a_bar.tolist(),
                               "k_diag": k_diag.tolist()}))
         return EXIT_OK
-    save_instance(RequestDraws(config), args.out, config.n, config.budget(), config.risk())
+    save_instance(RequestDraws(config), args.out)
     print(f"wrote {args.out} (n={config.n}, m={config.m}, k={config.k})")
     return EXIT_OK
 
 
 def _write_steps(fh, trace, values, prices) -> None:
-    """The per-step rows (t, scheme, best margin, prices), 256 at a time."""
+    """The per-step rows (t, scheme, best margin, prices), CHUNK at a time."""
     fh.write(b"t,scheme,value,prices\n")
-    for start in range(0, len(values), 256):
-        rows = zip(range(start, start + 256), trace.decisions[start:start + 256],
-                   values[start:start + 256].tolist(), prices[start:start + 256].tolist())
+    for s in (slice(start, start + CHUNK) for start in range(0, len(values), CHUNK)):
+        rows = zip(range(len(values))[s], trace.decisions[s],
+                   values[s].tolist(), prices[s].tolist())
         fh.write("".join(f"{t},{'' if scheme is None else scheme},{value!r},"
                          f"{';'.join(map(repr, row))}\n"
                          for t, scheme, value, row in rows).encode())
@@ -171,11 +172,13 @@ def _cmd_solve_online(args) -> int:
     solver = OnlineSolver(instance, VariantConfig(args.variant, args.seed),
                           record_steps=args.trace)
     trace = solver.run()
-    save_trace(trace, args.out)
-    if args.trace:
+    if args.trace:  # both files are written before either is renamed
         steps_path = Path(args.out).with_suffix(".steps.csv")
-        _write_replacing(steps_path, lambda fh: _write_steps(fh, trace, *solver.steps))
+        _write_replacing(steps_path, lambda fh: _write_steps(fh, trace, *solver.steps),
+                         then=lambda: save_trace(trace, args.out))
         print(f"wrote {steps_path}")
+    else:
+        save_trace(trace, args.out)
     accepted = sum(1 for d in trace.decisions if d is not None)
     print(f"wrote {args.out} (objective={trace.objective:.6f}, "
           f"accepted {accepted}/{instance.n})")
@@ -184,7 +187,7 @@ def _cmd_solve_online(args) -> int:
 
 def _cmd_baseline(args) -> int:
     cert = minimize_dual(linearize(to_soc(load_instance(args.instance))), tol=args.tol)
-    _write_replacing(Path(args.out), lambda fh: fh.write(json.dumps(cert.to_dict()).encode()))
+    _write_replacing(Path(args.out), json.dumps(cert.to_dict()))
     print(f"wrote {args.out} (value={cert.value:.6f}, gap={cert.gap:.3g}, "
           f"iterations={cert.iterations})")
     return EXIT_OK
@@ -226,11 +229,16 @@ def _cmd_evaluate(args) -> int:
             _decode_json(Path(args.baseline).read_bytes(), args.baseline))
         if baseline.p_star.shape != (m,):
             raise DomainError(f"certificate does not fit the instance: it needs {m} prices")
+        p, psi = baseline.p_star, instance.risk.psi  # f(p), one block at a time
+        value = p @ instance.budget + sum(
+            np.maximum((c - p @ linear_columns(a_bar, k_diag, psi, n)).max(axis=1), 0.0).sum()
+            for _, c, a_bar, k_diag in blocks(instance))
+        if abs(value - baseline.value) > 1e-9 * max(1.0, abs(baseline.value)):
+            raise DomainError(f"{args.baseline}: the certificate's value is not the dual "
+                              f"value {value!r} of its prices on this instance")
     report = build_report(instance, trace, baseline)
-    with Path(args.out).open("w") as fh:
-        fh.write(csv_header(instance.m))
-        fh.write(csv_row(args.experiment, args.variant, instance.n, args.trial,
-                         args.seed, report, instance.m))
+    _write_replacing(Path(args.out), csv_header(m) + csv_row(
+        args.experiment, args.variant, n, args.trial, args.seed, report, m))
     print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -33,7 +33,7 @@ from .errors import ConfigError, ConvergenceError, DomainError
 from .generate import GeneratorConfig, RequestDraws
 from .metrics import (_SCALARS, MetricsReport, aggregate, build_report, csv_header, csv_row,
                       scaling_slope)
-from .model import RiskSpec, _decode_json, _json_field
+from .model import RiskSpec, _decode_json, _json_field, _write_replacing
 from .online import Lanes, VariantConfig
 from .transform import LinearizedInstance, safety_coefficients
 
@@ -102,14 +102,13 @@ def run_trial(plan: ExperimentPlan, n: int, trials):
     if plan.compute_baseline:
         for row, draws in enumerate(rows):
             try:
-                baselines[row] = minimize_dual(LinearizedInstance(draws, n, d, psi),
-                                               tol=plan.tol)
+                baselines[row] = minimize_dual(LinearizedInstance(draws, psi), tol=plan.tol)
             except ConvergenceError:
                 statuses[row] = "baseline_failed"
     limits = _Limits(RiskSpec(risk.eta, risk.gamma_tilde, psi), n * d)
 
     results: list[dict[str, MetricsReport]] = [{} for _ in seeds]
-    for (row, config), trace in zip(lanes, Lanes(rows, n, d, psi, lanes).run()):
+    for (row, config), trace in zip(lanes, Lanes(rows, psi, lanes).run()):
         results[row][config.variant] = build_report(limits, trace, baselines[row])
     return list(zip(seeds, statuses, results))
 
@@ -188,7 +187,7 @@ def _claim_directory(parts_dir: Path, plan: ExperimentPlan) -> None:
             raise ConfigError(f"{parts_dir.parent} holds results of another plan "
                               f"(differs in {', '.join(fields)}); use another output "
                               f"directory")
-    path.write_text(json.dumps(mine, indent=2, sort_keys=True))
+    _write_replacing(path, json.dumps(mine, indent=2, sort_keys=True))
 
 
 def _part_text(seed: int, status: str, results: dict) -> str:
@@ -245,7 +244,7 @@ def run_experiment(plan: ExperimentPlan) -> dict:
     for n in plan.n_grid:
         n = int(n)
         for t, outcome in enumerate(run_trial(plan, n, range(plan.trials))):
-            (parts_dir / f"cell_n{n}_t{t}.json").write_text(_part_text(*outcome))
+            _write_replacing(parts_dir / f"cell_n{n}_t{t}.json", _part_text(*outcome))
 
     # All three files are built from every part present, so that processes
     # running disjoint grids into the same directory union cleanly instead
@@ -253,17 +252,16 @@ def run_experiment(plan: ExperimentPlan) -> dict:
     m = plan.generator.m
     experiment = plan.generator.experiment
     by_variant_n: dict = {v.variant: {} for v in plan.variants}
-    failed, trials = [], {}
-    with (out_dir / "metrics.csv").open("w") as fh:
-        fh.write(csv_header(m))
-        for (n, t), seed, status, reports in _read_parts(parts_dir, m):
-            fh.writelines(csv_row(experiment, v.variant, n, t, seed, reports[v.variant], m,
-                                  status=status) for v in plan.variants)
-            if status != "ok":
-                failed.append({"n": n, "trial": t, "seed": seed, "status": status})
-            trials[n] = trials.get(n, 0) + 1
-            for name, report in reports.items():
-                by_variant_n[name].setdefault(n, []).append(report)
+    failed, trials, lines = [], {}, [csv_header(m)]
+    for (n, t), seed, status, reports in _read_parts(parts_dir, m):
+        lines += [csv_row(experiment, v.variant, n, t, seed, reports[v.variant], m,
+                         status=status) for v in plan.variants]
+        if status != "ok":
+            failed.append({"n": n, "trial": t, "seed": seed, "status": status})
+        trials[n] = trials.get(n, 0) + 1
+        for name, report in reports.items():
+            by_variant_n[name].setdefault(n, []).append(report)
+    _write_replacing(out_dir / "metrics.csv", "".join(lines))
 
     agg_doc = {
         "experiment": experiment,
@@ -276,8 +274,8 @@ def run_experiment(plan: ExperimentPlan) -> dict:
             for vname, by_n in by_variant_n.items()
         },
     }
-    (out_dir / "aggregate.json").write_text(json.dumps(agg_doc, indent=2, sort_keys=True))
+    _write_replacing(out_dir / "aggregate.json", json.dumps(agg_doc, indent=2, sort_keys=True))
 
-    scaling_doc = _scaling_summary(by_variant_n)
-    (out_dir / "scaling.json").write_text(json.dumps(scaling_doc, indent=2, sort_keys=True))
+    _write_replacing(out_dir / "scaling.json",
+                     json.dumps(_scaling_summary(by_variant_n), indent=2, sort_keys=True))
     return agg_doc

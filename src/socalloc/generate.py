@@ -29,13 +29,9 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ConfigError, DomainError, StructuralError
-from .model import Instance, RiskSpec
+from .model import CHUNK, Instance, RiskSpec
 
 EXPERIMENTS = ("uniform", "chi_square")
-#: Requests that generate() and stream_requests() draw into one raw
-#: buffer at a time: 92 KB at m = 4, k = 5, so the buffer stays small
-#: however large n is.
-CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -87,7 +83,8 @@ class RequestDraws:
     ``draws.block(start, stop)`` stacks requests start..stop-1 into
     C-contiguous arrays of shape (T, k), (T, m, k) and (T, m, k), and
     ``draws.fill(start, c, a_bar, k_diag)`` writes them into given
-    arrays of those shapes.  Requests may be drawn in any order.
+    arrays of those shapes.  Requests may be drawn in any order.  With the
+    config's ``n``, ``d`` and ``risk`` it is a row source (see ``blocks``).
     """
 
     def __init__(self, config: GeneratorConfig):
@@ -102,7 +99,8 @@ class RequestDraws:
                       "buffer": [0, 0, 0, 0], "buffer_pos": 4,
                       "has_uint32": 0, "uinteger": 0}
         self.experiment = config.experiment
-        self.m, self.k = config.m, config.k
+        self.n, self.m, self.k = config.n, config.m, config.k
+        self.d, self.risk = config.budget(), config.risk()
 
     def _at(self, t: int) -> np.random.Generator:
         """The generator, moved to the start of request t's stream."""

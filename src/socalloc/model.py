@@ -151,17 +151,25 @@ class Instance:
         """Total budget n * d, shape (m,)."""
         return self.n * self.d
 
-
-class InstanceRows:
-    """Row source over one instance: ``fill(start, c, a_bar, k_diag)`` copies
-    requests start.. as :class:`~socalloc.generate.RequestDraws` draws them."""
-
-    def __init__(self, instance: Instance):
-        self.fields, self.k = (instance.c, instance.a_bar, instance.k_diag), instance.k
-
     def fill(self, start: int, *out: np.ndarray):
-        for dst, src in zip(out, self.fields):
+        for dst, src in zip(out, (self.c, self.a_bar, self.k_diag)):
             dst[...] = src[start:start + len(dst)]
+
+
+#: Requests read from a row source at a time: 92 KB at m = 4, k = 5.
+CHUNK = 256
+
+
+def blocks(rows, size: int = CHUNK):
+    """Yield (start, c, a_bar, k_diag) per ``size`` requests of ``rows`` in
+    reused buffers.  A row source (an :class:`Instance`, a ``RequestDraws``)
+    has ``n``, ``k``, ``d``, ``risk`` and ``fill(start, c, a_bar, k_diag)``."""
+    m, k = len(rows.d), rows.k
+    buffers = np.empty((size, k)), np.empty((size, m, k)), np.empty((size, m, k))
+    for start in range(0, rows.n, size):
+        block = [x[:rows.n - start] for x in buffers]
+        rows.fill(start, *block)
+        yield start, *block
 
 
 @dataclass(frozen=True)
@@ -288,15 +296,17 @@ def _sidecar(path: Path) -> Path:
     return path.with_name(path.name + ".npz")
 
 
-def _write_replacing(path: Path, write) -> None:
-    """Call ``write`` on the binary file ``<path>.<pid>.tmp``, then rename
-    that to ``path``, so no reader sees half a file.  On any exception the
-    temporary file is removed and the exception raised again; an earlier
-    file at ``path`` is left as it was."""
+def _write_replacing(path: Path, write, then=None) -> None:
+    """Write ``<path>.<pid>.tmp`` by ``write`` (a function of the binary file,
+    or text), call ``then`` if given, then rename the file to ``path``, so no
+    reader sees half a file.  On any exception the temporary file is removed
+    and the exception raised again, leaving an earlier file at ``path``."""
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with tmp.open("wb") as fh:
-            write(fh)
+            write(fh) if callable(write) else fh.write(write.encode())
+        if then is not None:
+            then()
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -308,36 +318,25 @@ def _request_json(c: list, a_bar: list, k_diag: list) -> str:
     return json.dumps({"c": c, "a_bar": a_bar, "k_diag": k_diag})
 
 
-def save_instance(instance, path, n: int | None = None, d=None, risk=RiskSpec()) -> None:
-    """Write an instance to the JSON file ``path``, the record, and its
-    arrays with the SHA-256 of that JSON to the sidecar ``<path>.npz``.
+def save_instance(instance, path) -> None:
+    """Write ``instance``, an :class:`Instance` or any row source (see
+    :func:`blocks`), such as a :class:`~socalloc.generate.RequestDraws`
+    whose instance is then never built, to the JSON file ``path``, the
+    record, and its arrays with the SHA-256 of that JSON to the sidecar
+    ``<path>.npz``.
 
-    ``instance`` is an :class:`Instance`, or a row source as the lanes
-    read (:class:`InstanceRows`, :class:`~socalloc.generate.RequestDraws`)
-    of ``n`` requests with budget ``d`` and ``risk``, written without
-    being built.  Requests are taken 256 at a time: the JSON is streamed
-    and hashed as written, then each sidecar member is written block by
+    Requests are read :data:`CHUNK` at a time: the JSON is streamed and
+    hashed as written, then each sidecar member is written block by
     block, one pass over the source each, with ``np.savez``'s bytes and
     order.  Both files go through :func:`_write_replacing`; a failed JSON
     write raises, and if the sidecar cannot be written the JSON alone
     stands.  The sidecar spares :func:`load_instance` the JSON decode.
     """
     import hashlib  # here, not at the top: its import adds about 3 ms to every start-up
-    rows = instance
-    if isinstance(instance, Instance):
-        rows, n, d, risk = InstanceRows(instance), instance.n, instance.d, instance.risk
-    path, d, k = Path(path), np.asarray(d, dtype=float), rows.k
-    sha256 = hashlib.sha256()
-    head = json.dumps({
-        "n": n, "m": len(d), "k": k, "d": d.tolist(),
-        "risk": {name: v.tolist() for name, v in _risk_arrays(risk).items()}})
-    buffers = np.empty((256, k)), np.empty((256, len(d), k)), np.empty((256, len(d), k))
-
-    def blocks():
-        for start in range(0, n, 256):
-            block = [x[:n - start] for x in buffers]
-            rows.fill(start, *block)
-            yield block
+    path, n, m, k, d = Path(path), instance.n, len(instance.d), instance.k, instance.d
+    risk, sha256 = _risk_arrays(instance.risk), hashlib.sha256()
+    head = json.dumps({"n": n, "m": m, "k": k, "d": d.tolist(),
+                       "risk": {name: v.tolist() for name, v in risk.items()}})
 
     def write(fh):
         def put(text: str) -> None:
@@ -345,9 +344,9 @@ def save_instance(instance, path, n: int | None = None, d=None, risk=RiskSpec())
             sha256.update(data)
             fh.write(data)
         put(head[:-1] + ', "requests": [')
-        for i, (c, a_bar, k_diag) in enumerate(blocks()):
+        for start, c, a_bar, k_diag in blocks(instance):
             block = zip(c.tolist(), a_bar.tolist(), k_diag.tolist())
-            put((", " if i else "") + ", ".join(_request_json(*row) for row in block))
+            put((", " if start else "") + ", ".join(_request_json(*row) for row in block))
         put("]}")
 
     def write_sidecar(fh):
@@ -356,14 +355,14 @@ def save_instance(instance, path, n: int | None = None, d=None, risk=RiskSpec())
                 return z.open(name + ".npy", "w", force_zip64=True)
             with member("sha256") as out:
                 np.lib.format.write_array(out, np.frombuffer(sha256.digest(), np.uint8))
-            for i, name in enumerate(("c", "a_bar", "k_diag")):
+            for i, (name, shape) in enumerate({"c": (n, k), "a_bar": (n, m, k),
+                                               "k_diag": (n, m, k)}.items(), 1):
                 with member(name) as out:
-                    header = np.lib.format.header_data_from_array_1_0(buffers[i])
-                    header["shape"] = (n,) + buffers[i].shape[1:]
-                    np.lib.format.write_array_header_1_0(out, header)
-                    for block in blocks():
+                    np.lib.format.write_array_header_1_0(
+                        out, {"descr": "<f8", "fortran_order": False, "shape": shape})
+                    for block in blocks(instance):
                         out.write(memoryview(block[i]))
-            for name, array in {"d": d, **_risk_arrays(risk)}.items():
+            for name, array in {"d": d, **risk}.items():
                 with member(name) as out:
                     np.lib.format.write_array(out, array)
 
@@ -437,7 +436,7 @@ def _trace_from_dict(doc: dict) -> SolutionTrace:
 
 
 def save_trace(trace: SolutionTrace, path) -> None:
-    _write_replacing(Path(path), lambda fh: fh.write(json.dumps(_trace_to_dict(trace)).encode()))
+    _write_replacing(Path(path), json.dumps(_trace_to_dict(trace)))
 
 
 def load_trace(path) -> SolutionTrace:

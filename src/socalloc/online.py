@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, StructuralError
-from .model import Instance, InstanceRows, SolutionTrace
+from .model import Instance, SolutionTrace
 from .transform import LinearizedInstance, linear_columns
 
 VARIANTS = ("vanilla", "marginal", "marginal-dynamic")
@@ -75,11 +75,10 @@ def tie_rng(seed: int, t: int) -> np.random.Generator:
 class Lanes:
     """B runs of the online rule, stepping in lockstep.
 
-    ``rows`` holds one row source per instance, with ``k`` and
-    ``fill(start, c, a_bar, k_diag)`` as :class:`~socalloc.model.InstanceRows` and
-    :class:`~socalloc.generate.RequestDraws` have; the runs share ``n``,
-    ``d`` and ``psi``.  Each lane is a (row, config) pair: the config's
-    variant runs on that row with the config's tie seed.  At step t every
+    ``rows`` holds one row source per instance (see
+    :func:`~socalloc.model.blocks`); the runs share ``psi``, and ``n`` and
+    ``d``, read from ``rows[0]``.  Each lane is a (row, config) pair: the
+    config's variant runs on that row with the config's tie seed.  At step t every
     lane prices its columns (the linear columns a_tilde, computed here,
     for ``vanilla``; for the marginal variants the exact cone-usage
     increase a_bar + psi * (sqrt(Q + K) - sqrt(Q)) with Q the variance
@@ -102,8 +101,7 @@ class Lanes:
     generator are; they are not checked here.
     """
 
-    def __init__(self, rows, n: int, d: np.ndarray, psi: np.ndarray, lanes,
-                 record_steps: bool = False):
+    def __init__(self, rows, psi: np.ndarray, lanes, record_steps: bool = False):
         lanes = list(lanes)
         if not lanes:
             raise StructuralError("a lane set needs at least one lane")
@@ -113,7 +111,8 @@ class Lanes:
         self._rows = np.array([lanes[i][0] for i in self._order], dtype=np.intp)
         self._seeds = [lanes[i][1].rng_seed for i in self._order]
         variants = [lanes[i][1].variant for i in self._order]
-        B, R, m, k = len(lanes), len(rows), len(d), rows[0].k
+        n, d, k = rows[0].n, rows[0].d, rows[0].k
+        B, R, m = len(lanes), len(rows), len(d)
         self.block = T = max(1, BLOCK // B)
         mg = variants.count("vanilla")  # the first corrected lane
         dyn = B - variants.count("marginal-dynamic")  # the first dynamic lane
@@ -297,8 +296,7 @@ class OnlineSolver:
         if instance.risk.psi is None:
             raise ConfigError("instance has no safety coefficients; apply to_soc first")
         self.config = config
-        self.lanes = Lanes([InstanceRows(instance)], instance.n, instance.d,
-                           instance.risk.psi, [(0, config)], record_steps)
+        self.lanes = Lanes([instance], instance.risk.psi, [(0, config)], record_steps)
 
     @property
     def steps(self):

@@ -25,32 +25,29 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .gaussian import safety_coefficient
-from .generate import CHUNK
-from .model import Instance, InstanceRows, RiskSpec, _frozen
+from .model import Instance, RiskSpec, _frozen, blocks
 
 
 class LinearizedInstance:
     """Revenues ``c`` (n, k), per-step budget ``d`` (m,), ``budget`` = n d and
-    the linear columns of n requests, read CHUNK at a time from ``rows``, a
-    row source with ``k`` and ``fill(start, c, a_bar, k_diag)`` such as
-    :class:`~socalloc.generate.RequestDraws`, so a_bar and k_diag are never
-    held whole.  ``columns`` is read-only, C-contiguous and resource-major:
-    ``columns[j, t, l]`` is a_tilde_tj[l].  Refuses psi = None (see :func:`to_soc`).
+    the linear columns of the n requests of the row source ``rows`` (see
+    :func:`~socalloc.model.blocks`), such as an :class:`Instance` or a
+    :class:`~socalloc.generate.RequestDraws`, read a block at a time, so
+    a_bar and k_diag are never held whole.  ``columns`` is read-only,
+    C-contiguous and resource-major: ``columns[j, t, l]`` is a_tilde_tj[l].
+    Refuses psi = None (see :func:`to_soc`).
     """
 
-    def __init__(self, rows, n: int, d: np.ndarray, psi: np.ndarray | None):
+    def __init__(self, rows, psi: np.ndarray | None):
         if psi is None:
             raise ConfigError("instance has no safety coefficients; apply to_soc first")
-        self.d = _frozen(d)
+        n, self.d = rows.n, _frozen(rows.d)
         self.n, self.m, self.k, self.budget = n, len(self.d), rows.k, _frozen(n * self.d)
         self.c, self.columns = np.empty((n, self.k)), np.empty((self.m, n, self.k))
-        a_bar, k_diag = np.empty((CHUNK, self.m, self.k)), np.empty((CHUNK, self.m, self.k))
-        for start in range(0, n, CHUNK):
-            block = slice(start, min(start + CHUNK, n))
-            size = block.stop - start
-            rows.fill(start, self.c[block], a_bar[:size], k_diag[:size])
-            linear_columns(a_bar[:size], k_diag[:size], psi, n,
-                           out=self.columns[:, block].transpose(1, 0, 2))
+        for start, c, a_bar, k_diag in blocks(rows):
+            block = slice(start, start + len(c))
+            self.c[block] = c
+            linear_columns(a_bar, k_diag, psi, n, out=self.columns[:, block].transpose(1, 0, 2))
         self.c.setflags(write=False)
         self.columns.setflags(write=False)
 
@@ -110,5 +107,4 @@ def linearize(instance: Instance) -> LinearizedInstance:
     Requires psi (see :func:`to_soc`); with psi = 0 the columns reduce
     to the plain means.
     """
-    return LinearizedInstance(InstanceRows(instance), instance.n, instance.d,
-                              instance.risk.psi)
+    return LinearizedInstance(instance, instance.risk.psi)

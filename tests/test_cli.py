@@ -8,9 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from socalloc import (GeneratorConfig, OnlineSolver, VariantConfig, generate, load_instance,
-                      save_instance, to_soc, trial_seed)
+from socalloc import (DualCertificate, GeneratorConfig, OnlineSolver, VariantConfig,
+                      build_report, generate, load_instance, load_trace, save_instance,
+                      to_soc, trial_seed)
 from socalloc.cli import main
+from socalloc.metrics import csv_header, csv_row
 
 from helpers import step, steps_csv, traced_peak_mb, zip_members
 
@@ -572,23 +574,40 @@ class _FillingFile:
         return len(data)
 
 
+def _files(root: Path) -> dict:
+    """The bytes of every file under ``root``, by relative path."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
 class TestReplacingWrites:
-    """steps.csv, trace.json and certificate.json are written under a
-    temporary name and renamed: a write that fails partway leaves no part
-    file, and an earlier file as it was (files written before it stand)."""
+    """Every output file is written under a temporary name and renamed: a
+    write that fails partway leaves no part file and every earlier file as
+    it was.  solve-online renames trace.json and steps.csv only after both
+    are written, so a failed write of either leaves the earlier pair."""
+
+    INST = "instance.json"
+    EXPERIMENT = ["experiment", "--experiment", "uniform", "--n-grid", "40,60", "--trials",
+                  "2", "--m", "2", "--k", "3", "--eta", "0.9,0.8", "--no-baseline", "--out"]
 
     @pytest.mark.parametrize("name, argv, room", [
-        ("trace.steps.csv", ["solve-online", "--trace", "--variant"], 30000),
-        ("trace.json", ["solve-online", "--trace", "--variant"], 100),
-        ("certificate.json", ["baseline", "--tol"], 20),
+        ("trace.steps.csv", ["solve-online", "--instance", INST, "--trace", "--variant"], 30000),
+        ("trace.json", ["solve-online", "--instance", INST, "--trace", "--variant"], 100),
+        ("certificate.json", ["baseline", "--instance", INST, "--tol"], 20),
+        ("metrics.csv", ["evaluate", "--instance", INST, "--trace", "trace.json", "--variant"],
+         40),
+        ("aggregate.json", EXPERIMENT, 100),
     ])
     def test_failed_write_keeps_the_earlier_file(self, tmp_path, capsys, monkeypatch,
                                                  name, argv, room):
         assert run(tmp_path, "generate", "--experiment", "uniform", "--n", "600",
                    "--m", "2", "--k", "3", "--eta", "0.9,0.8", "--seed", "4") == 0
-        first, second = ("vanilla", "marginal") if argv[0] == "solve-online" else ("1e-6", "1e-3")
-        assert run(tmp_path, *argv, first, "--instance", "instance.json") == 0
-        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert run(tmp_path, "solve-online", "--instance", "instance.json") == 0
+        # the experiment is rerun as it was: its files come back byte-identical
+        first, second = {"solve-online": ("vanilla", "marginal"), "baseline": ("1e-6", "1e-3"),
+                         "evaluate": ("a", "b"), "experiment": ("res", "res")}[argv[0]]
+        assert run(tmp_path, *argv, first) == 0
+        before = _files(tmp_path)
+        assert any(path.endswith(name) for path in before)
         open_, written = Path.open, []
 
         def open_filling(self, mode="r", *args, **kwargs):
@@ -596,11 +615,64 @@ class TestReplacingWrites:
             return (_FillingFile(fh, room, written)
                     if "w" in mode and self.name.startswith(name) else fh)
         monkeypatch.setattr(Path, "open", open_filling)
-        assert run(tmp_path, *argv, second, "--instance", "instance.json") == 2
+        assert run(tmp_path, *argv, second) == 2
         assert "No space left" in capsys.readouterr().err
         assert sum(written) == room and len(written) >= 1
-        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before)
-        assert (tmp_path / name).read_bytes() == before[name]
+        assert _files(tmp_path) == before
+
+
+class TestCertificateCheck:
+    """evaluate refuses a certificate whose value is not the dual value of its
+    prices on the instance it scores, risk overrides applied."""
+
+    @staticmethod
+    def certify(tmp_path, experiment, seed, n=2000):
+        out = f"{experiment}{seed}"
+        assert run(tmp_path, "generate", "--experiment", experiment, "--n", str(n), "--m",
+                   "4", "--k", "5", "--eta", ETA, "--seed", str(seed), "--out",
+                   f"{out}.json") == 0
+        assert run(tmp_path, "baseline", "--instance", f"{out}.json", "--out",
+                   f"cert_{out}.json") == 0
+        assert run(tmp_path, "solve-online", "--instance", f"{out}.json", "--out",
+                   f"trace_{out}.json") == 0
+        return out
+
+    def evaluate(self, tmp_path, capsys, out, cert, *flags):
+        code = run(tmp_path, "evaluate", "--instance", f"{out}.json", "--trace",
+                   f"trace_{out}.json", "--baseline", cert, "--out", "m.csv", *flags)
+        return code, capsys.readouterr().err
+
+    def test_foreign_certificate_exits_2(self, tmp_path, capsys):
+        a = self.certify(tmp_path, "uniform", 1)
+        b = self.certify(tmp_path, "chi-square", 2)
+        code, err = self.evaluate(tmp_path, capsys, b, f"cert_{a}.json")
+        assert code == 2 and f"cert_{a}.json: the certificate's value" in err
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_tampered_value_exits_2(self, tmp_path, capsys):
+        out = self.certify(tmp_path, "uniform", 3, n=300)
+        doc = json.loads((tmp_path / f"cert_{out}.json").read_text())
+        doc["value"] *= 1 + 1e-8
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        code, err = self.evaluate(tmp_path, capsys, out, "bad.json")
+        assert code == 2 and "bad.json: the certificate's value is not the dual" in err
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_override_that_changes_psi_exits_2(self, tmp_path, capsys):
+        out = self.certify(tmp_path, "uniform", 4, n=300)
+        assert self.evaluate(tmp_path, capsys, out, f"cert_{out}.json", "--eta", ETA)[0] == 0
+        code, err = self.evaluate(tmp_path, capsys, out, f"cert_{out}.json",
+                                  "--eta", "0.65,0.75,0.85,0.99")
+        assert code == 2 and "the certificate's value is not the dual" in err
+
+    def test_genuine_certificate_scores_as_the_library(self, tmp_path, capsys):
+        out = self.certify(tmp_path, "chi-square", 5, n=300)
+        assert self.evaluate(tmp_path, capsys, out, f"cert_{out}.json")[0] == 0
+        instance = to_soc(load_instance(tmp_path / f"{out}.json"))
+        cert = DualCertificate.from_dict(json.loads((tmp_path / f"cert_{out}.json").read_text()))
+        report = build_report(instance, load_trace(tmp_path / f"trace_{out}.json"), cert)
+        want = csv_header(4) + csv_row("custom", "unknown", 300, 0, 0, report, 4)
+        assert (tmp_path / "m.csv").read_text() == want
 
 
 class TestInstanceSidecar:

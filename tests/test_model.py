@@ -15,7 +15,8 @@ from socalloc import (ConfigError, DomainError, GeneratorConfig, Instance, RiskS
                       SolutionTrace, StructuralError, generate, load_instance,
                       load_trace, save_instance, save_trace, soc_lhs, to_soc)
 from socalloc import model
-from socalloc.model import _instance_from_dict, _trace_from_dict, _trace_to_dict
+from socalloc.generate import RequestDraws
+from socalloc.model import CHUNK, _instance_from_dict, _trace_from_dict, _trace_to_dict, blocks
 
 from helpers import (instance_json_bytes, random_decisions, random_instance,
                      trace_by_recomputation, traced_peak_mb, zip_members)
@@ -386,6 +387,26 @@ def short_digest(arrays):
 
 def object_array(arrays):
     arrays["c"] = np.array([None], dtype=object)  # loads only with pickling
+
+
+class TestRowBlocks:
+    """blocks() reads a row source CHUNK requests at a time: a drawn source
+    and the instance generate() builds from it give the same blocks."""
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 512, 513])
+    @pytest.mark.parametrize("experiment", ["uniform", "chi_square"])
+    def test_blocks_concatenate_to_the_instance(self, experiment, n):
+        config = GeneratorConfig(experiment, n=n, m=3, k=2, eta=(0.6, 0.8, 0.9), seed=n)
+        inst = generate(config)
+        starts = list(range(0, n, CHUNK))
+        for rows in (RequestDraws(config), inst):
+            got = [(start, *(x.copy() for x in block)) for start, *block in blocks(rows)]
+            assert [block[0] for block in got] == starts
+            for i, want in enumerate((inst.c, inst.a_bar, inst.k_diag), 1):
+                assert np.concatenate([block[i] for block in got]).tobytes() == want.tobytes()
+            assert (rows.n, rows.k, rows.risk.psi) == (n, 2, None)
+            assert np.array_equal(rows.d, np.ones(3))
+            assert np.array_equal(rows.risk.eta, config.eta)
 
 
 class TestSidecar:

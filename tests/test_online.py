@@ -18,7 +18,7 @@ from hypothesis import strategies as hst
 from socalloc import (ConfigError, DomainError, GeneratorConfig, Instance, OnlineSolver,
                       RiskSpec, StructuralError, VariantConfig, generate,
                       linearize, run_online, soc_lhs, to_soc)
-from socalloc.online import VARIANTS, InstanceRows, Lanes
+from socalloc.online import VARIANTS, Lanes
 
 from helpers import (a_tilde, forced_run, priced_margins, projected_step, random_instance,
                      step, traced_peak_mb)
@@ -410,9 +410,7 @@ def lane_set(seeds):
 
 def lanes_over(instances, lanes):
     """A lane set whose row r reads ``instances[r]``."""
-    base = instances[0]
-    return Lanes([InstanceRows(inst) for inst in instances], base.n, base.d,
-                 base.risk.psi, lanes)
+    return Lanes(instances, instances[0].risk.psi, lanes)
 
 
 class TestLanes:
@@ -435,9 +433,7 @@ class TestLanes:
         seeds = [21, 22]
         instances = [experiment_one(1100, seed) for seed in seeds]
         lanes = lane_set(seeds)[::-1]
-        base = instances[0]
-        group = Lanes([InstanceRows(inst) for inst in instances], base.n, base.d,
-                      base.risk.psi, lanes, record_steps=True)
+        group = Lanes(instances, instances[0].risk.psi, lanes, record_steps=True)
         group.run()
         for i, (row, config) in enumerate(lanes):
             alone = OnlineSolver(instances[row], config, record_steps=True)
@@ -473,13 +469,11 @@ class TestLanes:
         for a, b in zip(forward, backward):
             assert_same_trace(a, b)
 
-    def test_instance_rows_fill_strided_columns(self):
+    def test_instance_fill_strided_columns(self):
         # a lane set fills column r of its (T, R, ...) draw buffers from row r
         inst = experiment_one(40, seed=43)
-        rows = InstanceRows(inst)
         out = np.zeros((4, 2, 5)), np.zeros((4, 2, 4, 5)), np.zeros((4, 2, 4, 5))
-        rows.fill(5, *(x[:, 1] for x in out))
-        assert rows.k == inst.k
+        inst.fill(5, *(x[:, 1] for x in out))
         for got, want in zip(out, (inst.c, inst.a_bar, inst.k_diag)):
             assert np.array_equal(got[:, 1], want[5:9])
             assert not got[:, 0].any()

@@ -9,7 +9,6 @@ from socalloc import (ConfigError, DomainError, GeneratorConfig, Instance,
                       LinearizedInstance, RiskSpec, generate, linearize, mean_excess,
                       minimize_dual, soc_lhs, to_soc)
 from socalloc.generate import RequestDraws
-from socalloc.model import InstanceRows
 from socalloc.transform import safety_coefficients
 
 from helpers import (a_tilde, bisect_root, random_decisions, random_instance,
@@ -112,7 +111,7 @@ class TestLinearize:
         with pytest.raises(ConfigError):
             linearize(inst)
         with pytest.raises(ConfigError):
-            LinearizedInstance(InstanceRows(inst), inst.n, inst.d, inst.risk.psi)
+            LinearizedInstance(inst, inst.risk.psi)
 
     @pytest.mark.parametrize("experiment", ["uniform", "chi_square"])
     def test_columns_resource_major_and_frozen(self, experiment):
@@ -138,8 +137,7 @@ class TestDrawnColumns:
     def test_equals_the_linearized_instance(self, experiment, risk, n):
         config = GeneratorConfig(experiment, n=n, m=4, k=5, d=(1.0, 0.5, 2.0, 1.5),
                                  eta=risk[0], gamma_tilde=risk[1], seed=n)
-        drawn = LinearizedInstance(RequestDraws(config), n, config.budget(),
-                                   safety_coefficients(config.risk()))
+        drawn = LinearizedInstance(RequestDraws(config), safety_coefficients(config.risk()))
         lin = linearize(to_soc(generate(config)))
         for name in ("c", "columns", "d", "budget"):
             got, want = getattr(drawn, name), getattr(lin, name)
