@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .model import _frozen, _json_field, _refuse
-from .transform import LinearizedInstance
+from .model import _frozen, _json_field, _refuse, blocks
+from .transform import LinearizedInstance, linear_columns
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,14 @@ def dual_value_and_subgradient(prices: np.ndarray,
     best = np.take_along_axis(reduced, choice[:, None], axis=1)[:, 0]
     t = np.flatnonzero(best > 0.0)
     return float(prices @ b + best[t].sum()), b - lin.columns[:, t, choice[t]].sum(axis=1)
+
+
+def dual_value(rows, psi: np.ndarray, prices: np.ndarray) -> float:
+    """:func:`dual_value_and_subgradient`'s value at ``prices`` of the row source
+    ``rows`` (see :func:`~socalloc.model.blocks`) linearized by ``psi``, a block at a time."""
+    return prices @ (rows.n * rows.d) + sum(
+        np.maximum((c - prices @ linear_columns(a_bar, k_diag, psi, rows.n)).max(axis=1), 0.0).sum()
+        for _, c, a_bar, k_diag in blocks(rows))
 
 
 def _fitted(revenue: float, used: np.ndarray, b: np.ndarray) -> float:

@@ -29,15 +29,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .baseline import DualCertificate, minimize_dual
+from .baseline import DualCertificate, dual_value, minimize_dual
 from .errors import ConvergenceError, DomainError, SocAllocError
 from .experiment import ExperimentPlan, run_experiment
 from .generate import GeneratorConfig, RequestDraws, stream_requests
 from .metrics import build_report, csv_header, csv_row
-from .model import (CHUNK, Instance, RiskSpec, _decode_json, _write_replacing, blocks,
+from .model import (CHUNK, Instance, RiskSpec, _decode_json, _write_replacing,
                     load_instance, load_trace, save_instance, save_trace)
 from .online import VARIANTS, OnlineSolver, VariantConfig
-from .transform import linear_columns, linearize, safety_coefficients, to_soc
+from .transform import linearize, safety_coefficients, to_soc
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -187,7 +187,7 @@ def _cmd_solve_online(args) -> int:
 
 def _cmd_baseline(args) -> int:
     cert = minimize_dual(linearize(to_soc(load_instance(args.instance))), tol=args.tol)
-    _write_replacing(Path(args.out), json.dumps(cert.to_dict()))
+    _write_replacing(Path(args.out), lambda fh: fh.write(json.dumps(cert.to_dict()).encode()))
     print(f"wrote {args.out} (value={cert.value:.6f}, gap={cert.gap:.3g}, "
           f"iterations={cert.iterations})")
     return EXIT_OK
@@ -229,16 +229,13 @@ def _cmd_evaluate(args) -> int:
             _decode_json(Path(args.baseline).read_bytes(), args.baseline))
         if baseline.p_star.shape != (m,):
             raise DomainError(f"certificate does not fit the instance: it needs {m} prices")
-        p, psi = baseline.p_star, instance.risk.psi  # f(p), one block at a time
-        value = p @ instance.budget + sum(
-            np.maximum((c - p @ linear_columns(a_bar, k_diag, psi, n)).max(axis=1), 0.0).sum()
-            for _, c, a_bar, k_diag in blocks(instance))
+        value = dual_value(instance, instance.risk.psi, baseline.p_star)
         if abs(value - baseline.value) > 1e-9 * max(1.0, abs(baseline.value)):
             raise DomainError(f"{args.baseline}: the certificate's value is not the dual "
                               f"value {value!r} of its prices on this instance")
     report = build_report(instance, trace, baseline)
-    _write_replacing(Path(args.out), csv_header(m) + csv_row(
-        args.experiment, args.variant, n, args.trial, args.seed, report, m))
+    _write_replacing(Path(args.out), lambda fh: fh.write((csv_header(m) + csv_row(
+        args.experiment, args.variant, n, args.trial, args.seed, report, m)).encode()))
     print(f"wrote {args.out}")
     return EXIT_OK
 

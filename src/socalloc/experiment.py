@@ -187,7 +187,7 @@ def _claim_directory(parts_dir: Path, plan: ExperimentPlan) -> None:
             raise ConfigError(f"{parts_dir.parent} holds results of another plan "
                               f"(differs in {', '.join(fields)}); use another output "
                               f"directory")
-    _write_replacing(path, json.dumps(mine, indent=2, sort_keys=True))
+    _write_replacing(path, lambda fh: fh.write(json.dumps(mine, indent=2, sort_keys=True).encode()))
 
 
 def _part_text(seed: int, status: str, results: dict) -> str:
@@ -244,7 +244,8 @@ def run_experiment(plan: ExperimentPlan) -> dict:
     for n in plan.n_grid:
         n = int(n)
         for t, outcome in enumerate(run_trial(plan, n, range(plan.trials))):
-            _write_replacing(parts_dir / f"cell_n{n}_t{t}.json", _part_text(*outcome))
+            _write_replacing(parts_dir / f"cell_n{n}_t{t}.json",
+                             lambda fh: fh.write(_part_text(*outcome).encode()))
 
     # All three files are built from every part present, so that processes
     # running disjoint grids into the same directory union cleanly instead
@@ -261,7 +262,7 @@ def run_experiment(plan: ExperimentPlan) -> dict:
         trials[n] = trials.get(n, 0) + 1
         for name, report in reports.items():
             by_variant_n[name].setdefault(n, []).append(report)
-    _write_replacing(out_dir / "metrics.csv", "".join(lines))
+    _write_replacing(out_dir / "metrics.csv", lambda fh: fh.write("".join(lines).encode()))
 
     agg_doc = {
         "experiment": experiment,
@@ -274,8 +275,7 @@ def run_experiment(plan: ExperimentPlan) -> dict:
             for vname, by_n in by_variant_n.items()
         },
     }
-    _write_replacing(out_dir / "aggregate.json", json.dumps(agg_doc, indent=2, sort_keys=True))
-
-    _write_replacing(out_dir / "scaling.json",
-                     json.dumps(_scaling_summary(by_variant_n), indent=2, sort_keys=True))
+    for name, doc in ("aggregate.json", agg_doc), ("scaling.json", _scaling_summary(by_variant_n)):
+        text = json.dumps(doc, indent=2, sort_keys=True)
+        _write_replacing(out_dir / name, lambda fh: fh.write(text.encode()))
     return agg_doc

@@ -160,13 +160,13 @@ class Instance:
 CHUNK = 256
 
 
-def blocks(rows, size: int = CHUNK):
-    """Yield (start, c, a_bar, k_diag) per ``size`` requests of ``rows`` in
-    reused buffers.  A row source (an :class:`Instance`, a ``RequestDraws``)
+def blocks(rows):
+    """Yield (start, c, a_bar, k_diag) per :data:`CHUNK` requests of ``rows``
+    in reused buffers.  A row source (an :class:`Instance`, a ``RequestDraws``)
     has ``n``, ``k``, ``d``, ``risk`` and ``fill(start, c, a_bar, k_diag)``."""
     m, k = len(rows.d), rows.k
-    buffers = np.empty((size, k)), np.empty((size, m, k)), np.empty((size, m, k))
-    for start in range(0, rows.n, size):
+    buffers = np.empty((CHUNK, k)), np.empty((CHUNK, m, k)), np.empty((CHUNK, m, k))
+    for start in range(0, rows.n, CHUNK):
         block = [x[:rows.n - start] for x in buffers]
         rows.fill(start, *block)
         yield start, *block
@@ -297,14 +297,14 @@ def _sidecar(path: Path) -> Path:
 
 
 def _write_replacing(path: Path, write, then=None) -> None:
-    """Write ``<path>.<pid>.tmp`` by ``write`` (a function of the binary file,
-    or text), call ``then`` if given, then rename the file to ``path``, so no
-    reader sees half a file.  On any exception the temporary file is removed
-    and the exception raised again, leaving an earlier file at ``path``."""
+    """Call ``write`` on the binary file ``<path>.<pid>.tmp``, and ``then`` if
+    given, then rename that file to ``path``, so no reader sees half a file.
+    On any exception the temporary file is removed and the exception raised
+    again, leaving an earlier file at ``path``."""
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with tmp.open("wb") as fh:
-            write(fh) if callable(write) else fh.write(write.encode())
+            write(fh)
         if then is not None:
             then()
         os.replace(tmp, path)
@@ -319,11 +319,10 @@ def _request_json(c: list, a_bar: list, k_diag: list) -> str:
 
 
 def save_instance(instance, path) -> None:
-    """Write ``instance``, an :class:`Instance` or any row source (see
-    :func:`blocks`), such as a :class:`~socalloc.generate.RequestDraws`
-    whose instance is then never built, to the JSON file ``path``, the
-    record, and its arrays with the SHA-256 of that JSON to the sidecar
-    ``<path>.npz``.
+    """Write the row source ``instance`` (see :func:`blocks`), an :class:`Instance`
+    or a :class:`~socalloc.generate.RequestDraws` whose instance is then never
+    built, to the JSON file ``path``, the record, and its arrays with the
+    SHA-256 of that JSON to the sidecar ``<path>.npz``.
 
     Requests are read :data:`CHUNK` at a time: the JSON is streamed and
     hashed as written, then each sidecar member is written block by
@@ -359,7 +358,7 @@ def save_instance(instance, path) -> None:
                                                "k_diag": (n, m, k)}.items(), 1):
                 with member(name) as out:
                     np.lib.format.write_array_header_1_0(
-                        out, {"descr": "<f8", "fortran_order": False, "shape": shape})
+                        out, {"descr": np.dtype(float).str, "fortran_order": False, "shape": shape})
                     for block in blocks(instance):
                         out.write(memoryview(block[i]))
             for name, array in {"d": d, **risk}.items():
@@ -436,7 +435,7 @@ def _trace_from_dict(doc: dict) -> SolutionTrace:
 
 
 def save_trace(trace: SolutionTrace, path) -> None:
-    _write_replacing(Path(path), json.dumps(_trace_to_dict(trace)))
+    _write_replacing(Path(path), lambda fh: fh.write(json.dumps(_trace_to_dict(trace)).encode()))
 
 
 def load_trace(path) -> SolutionTrace:

@@ -29,13 +29,11 @@ from .model import Instance, RiskSpec, _frozen, blocks
 
 
 class LinearizedInstance:
-    """Revenues ``c`` (n, k), per-step budget ``d`` (m,), ``budget`` = n d and
-    the linear columns of the n requests of the row source ``rows`` (see
-    :func:`~socalloc.model.blocks`), such as an :class:`Instance` or a
-    :class:`~socalloc.generate.RequestDraws`, read a block at a time, so
-    a_bar and k_diag are never held whole.  ``columns`` is read-only,
-    C-contiguous and resource-major: ``columns[j, t, l]`` is a_tilde_tj[l].
-    Refuses psi = None (see :func:`to_soc`).
+    """Revenues ``c`` (n, k), per-step budget ``d`` (m,), ``budget`` = n d and the
+    linear columns of the n requests of the row source ``rows`` (see
+    :func:`~socalloc.model.blocks`), read a block at a time, so a_bar and k_diag are
+    never held whole.  ``columns`` is read-only, C-contiguous and resource-major:
+    ``columns[j, t, l]`` is a_tilde_tj[l].  Refuses psi = None (see :func:`to_soc`).
     """
 
     def __init__(self, rows, psi: np.ndarray | None):
