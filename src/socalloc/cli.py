@@ -34,7 +34,7 @@ from .errors import ConvergenceError, DomainError, SocAllocError
 from .experiment import ExperimentPlan, run_experiment
 from .generate import GeneratorConfig, RequestDraws, stream_requests
 from .metrics import build_report, csv_header, csv_row
-from .model import (CHUNK, Instance, RiskSpec, _decode_json, _write_replacing,
+from .model import (CHUNK, Instance, RiskSpec, _read_record, _write_replacing,
                     load_instance, load_trace, save_instance, save_trace)
 from .online import VARIANTS, OnlineSolver, VariantConfig
 from .transform import linearize, safety_coefficients, to_soc
@@ -225,8 +225,7 @@ def _cmd_evaluate(args) -> int:
         raise DomainError("the trace's objective or totals are not the sums of its decisions")
     baseline = None
     if args.baseline is not None:
-        baseline = DualCertificate.from_dict(
-            _decode_json(Path(args.baseline).read_bytes(), args.baseline))
+        baseline = _read_record(args.baseline, DualCertificate.from_dict)
         if baseline.p_star.shape != (m,):
             raise DomainError(f"certificate does not fit the instance: it needs {m} prices")
         value = dual_value(instance, instance.risk.psi, baseline.p_star)
@@ -275,7 +274,7 @@ def main(argv=None) -> int:
     except ConvergenceError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (SocAllocError, OSError, json.JSONDecodeError, KeyError) as err:
+    except (SocAllocError, OSError, KeyError) as err:
         print(f"data error: {err}", file=sys.stderr)
         return EXIT_DATA
 

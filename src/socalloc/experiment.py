@@ -33,7 +33,7 @@ from .errors import ConfigError, ConvergenceError, DomainError
 from .generate import GeneratorConfig, RequestDraws
 from .metrics import (_SCALARS, MetricsReport, aggregate, build_report, csv_header, csv_row,
                       scaling_slope)
-from .model import RiskSpec, _decode_json, _json_field, _write_replacing
+from .model import RiskSpec, _json_field, _read_record, _refuse, _write_replacing
 from .online import Lanes, VariantConfig
 from .transform import LinearizedInstance, safety_coefficients
 
@@ -43,8 +43,9 @@ DEFAULT_VARIANTS = tuple(VariantConfig(v) for v in
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """A generator template swept over an n-grid with repeated trials;
-    construction refuses a plan without trials or grid points."""
+    """A generator template swept over an n-grid with repeated trials.  Construction
+    refuses a plan that cannot run whole (no trials, a grid point, seed, tol or risk
+    target out of its domain, a variant named twice), so a refused plan writes nothing."""
 
     generator: GeneratorConfig
     n_grid: tuple
@@ -59,6 +60,13 @@ class ExperimentPlan:
         if self.trials < 1 or not len(self.n_grid):
             raise ConfigError(f"a plan needs at least one trial and a nonempty n-grid "
                               f"(trials={self.trials}, n_grid={tuple(self.n_grid)})")
+        for n in self.n_grid:
+            replace(self.generator, n=int(n))  # GeneratorConfig's rule on n
+        names = [v.variant for v in self.variants]
+        _refuse("plan", (("the master seed must be nonnegative", self.master_seed >= 0),
+                         ("tol must be positive", self.tol > 0),
+                         ("each variant may be named once", len(set(names)) == len(names))))
+        safety_coefficients(self.generator.risk())
 
 
 def trial_seed(master_seed: int, n: int, trial: int) -> int:
@@ -166,27 +174,14 @@ def _plan_fingerprint(plan: ExperimentPlan) -> dict:
     }
 
 
-def _read_object(path: Path) -> dict:
-    """The JSON object in the file ``path``; a DomainError names a file
-    that is not UTF-8 text or holds another JSON value."""
-    doc = _decode_json(path.read_bytes(), path)
-    if type(doc) is not dict:
-        raise DomainError(f"{path} does not hold a JSON object")
-    return doc
-
-
 def _claim_directory(parts_dir: Path, plan: ExperimentPlan) -> None:
     """Write the plan fingerprint, or refuse a directory holding another plan's parts."""
     path = parts_dir / "plan.json"
     mine = _plan_fingerprint(plan)
-    if path.exists():
-        theirs = _read_object(path)
-        if theirs != mine:
-            fields = sorted(k for k in mine.keys() | theirs.keys()
-                            if mine.get(k) != theirs.get(k))
-            raise ConfigError(f"{parts_dir.parent} holds results of another plan "
-                              f"(differs in {', '.join(fields)}); use another output "
-                              f"directory")
+    if path.exists() and (theirs := _read_record(path, dict)) != mine:
+        fields = sorted(k for k in mine.keys() | theirs.keys() if mine.get(k) != theirs.get(k))
+        raise ConfigError(f"{parts_dir.parent} holds results of another plan "
+                          f"(differs in {', '.join(fields)}); use another output directory")
     _write_replacing(path, lambda fh: fh.write(json.dumps(mine, indent=2, sort_keys=True).encode()))
 
 
@@ -206,16 +201,10 @@ def _read_parts(parts_dir: Path, m: int):
                    for path in parts_dir.iterdir()
                    if (match := re.fullmatch(r"cell_n(\d+)_t(\d+)\.json", path.name)))
     for key, path in found:
-        doc = _read_object(path)
-        try:
-            cell = (key, _json_field(doc, "seed", (int,)), _json_field(doc, "status", (str,)),
-                    {name: _read_report(fields, m)
-                     for name, fields in _json_field(doc, "reports", (dict,)).items()})
-        except DomainError as err:
-            raise DomainError(f"{path}: {err}") from err
-        except KeyError as err:
-            raise DomainError(f"{path} lacks the field {err}") from err
-        yield cell
+        yield _read_record(path, lambda doc: (
+            key, _json_field(doc, "seed", (int,)), _json_field(doc, "status", (str,)),
+            {name: _read_report(fields, m)
+             for name, fields in _json_field(doc, "reports", (dict,)).items()}))
 
 
 def _read_report(doc, m: int) -> MetricsReport:

@@ -38,9 +38,9 @@ EXPERIMENTS = ("uniform", "chi_square")
 class GeneratorConfig:
     """Input model, problem dimensions, risk targets, and the seed.
 
-    Construction refuses an unknown model, a ``d`` of the wrong length
-    or with an entry that is not finite and positive, and risk targets
-    that are invalid or not one per resource.
+    Construction refuses an unknown model, a seed outside [0, 2**128), a
+    ``d`` of the wrong length or with an entry that is not finite and
+    positive, and risk targets that are invalid or not one per resource.
     """
 
     experiment: str
@@ -58,6 +58,8 @@ class GeneratorConfig:
                               f"expected one of {EXPERIMENTS}")
         if min(self.n, self.m, self.k) < 1:
             raise DomainError("n, m, k must all be at least 1")
+        if not 0 <= self.seed < 2 ** 128:  # Philox's key
+            raise DomainError(f"the seed must lie in [0, 2**128), got {self.seed}")
         d = self.budget()
         if d.shape != (self.m,):
             raise ConfigError(f"d must have {self.m} entries, got shape {d.shape}")

@@ -263,18 +263,24 @@ def _request_field(reqs: list, name: str, depth: int) -> np.ndarray:
         raise DomainError(f"field {name!r} is ragged or out of the range of doubles") from err
 
 
-def _decode_json(data: bytes, path):
-    """The JSON document ``data``, the bytes of the file ``path``; a
-    DomainError names a file that is not UTF-8 text."""
+def _read_record(path, build):
+    """``build(doc)`` of the JSON object ``doc`` in the file ``path``.  Bytes that
+    are not UTF-8 text or not JSON, another JSON value, a missing field and a
+    refusal of ``build`` raise one DomainError naming the file."""
     try:
-        return json.loads(data)
+        doc = json.loads(Path(path).read_bytes())
+        if type(doc) is not dict:
+            raise DomainError("it does not hold a JSON object")
+        return build(doc)
     except UnicodeDecodeError as err:
         raise DomainError(f"{path} is not UTF-8 text ({err.reason} at byte {err.start})") from err
+    except KeyError as err:
+        raise DomainError(f"{path} lacks the field {err}") from err
+    except (json.JSONDecodeError, DomainError, StructuralError) as err:
+        raise DomainError(f"{path}: {err}") from err
 
 
-def _instance_from_dict(doc) -> Instance:
-    if type(doc) is not dict:
-        raise DomainError("an instance file holds one JSON object")
+def _instance_from_dict(doc: dict) -> Instance:
     risk_doc = {} if doc.get("risk") is None else _json_field(doc, "risk", (dict,))
     risk = RiskSpec(**{name: _json_field(risk_doc, name, many=True)
                        for name in _RISK_FIELDS if risk_doc.get(name) is not None})
@@ -385,9 +391,9 @@ def _owner(a: np.ndarray) -> np.ndarray:
 
 
 def _sidecar_arrays(path: Path) -> dict | None:
-    """The arrays of ``path``'s sidecar if it holds the SHA-256 of the
-    JSON file ``path``, hashed in chunks; None if it is missing, stale or
-    unreadable."""
+    """The arrays of ``path``'s sidecar if it holds the SHA-256 of the JSON file
+    ``path``, hashed in chunks; None if it is missing, stale or unreadable (zipfile
+    refuses some damaged flag bits with NotImplementedError or RuntimeError)."""
     import hashlib
     try:
         with np.load(_sidecar(path), allow_pickle=False) as z:
@@ -397,7 +403,8 @@ def _sidecar_arrays(path: Path) -> dict | None:
                 return None
             names = ("c", "a_bar", "k_diag", "d") + tuple(r for r in _RISK_FIELDS if r in z)
             return {name: _owner(z[name]) for name in names}
-    except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile):
+    except (OSError, EOFError, ValueError, KeyError, RuntimeError, NotImplementedError,
+            zipfile.BadZipFile):
         return None
 
 
@@ -409,7 +416,7 @@ def load_instance(path) -> Instance:
     path = Path(path)
     arrays = _sidecar_arrays(path)
     if arrays is None:
-        return _instance_from_dict(_decode_json(path.read_bytes(), path))
+        return _read_record(path, _instance_from_dict)
     return Instance(arrays["c"], arrays["a_bar"], arrays["k_diag"], arrays["d"],
                     RiskSpec(*(arrays.get(name) for name in _RISK_FIELDS)))
 
@@ -439,4 +446,4 @@ def save_trace(trace: SolutionTrace, path) -> None:
 
 
 def load_trace(path) -> SolutionTrace:
-    return _trace_from_dict(_decode_json(Path(path).read_bytes(), path))
+    return _read_record(path, _trace_from_dict)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, StructuralError
+from .errors import ConfigError, DomainError, StructuralError
 from .model import Instance, SolutionTrace
 from .transform import LinearizedInstance, linear_columns
 
@@ -49,7 +49,7 @@ VARIANTS = ("vanilla", "marginal", "marginal-dynamic")
 
 @dataclass(frozen=True)
 class VariantConfig:
-    """Which solver variant to run and the seed for tie-breaking."""
+    """Which solver variant to run and the nonnegative seed for tie-breaking."""
 
     variant: str = "vanilla"
     rng_seed: int = 0
@@ -57,6 +57,8 @@ class VariantConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
+        if self.rng_seed < 0:
+            raise DomainError(f"the tie-break seed must be nonnegative, got {self.rng_seed}")
 
 
 #: Lane-steps a lane set reads from its row sources at a time: a block of

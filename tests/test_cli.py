@@ -1,12 +1,17 @@
 """CLI: subcommand pipeline, exit codes, pipeline/harness equivalence."""
 
+import contextlib
 import errno
+import io
 import json
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from socalloc import (DualCertificate, GeneratorConfig, OnlineSolver, VariantConfig,
                       build_report, generate, load_instance, load_trace, save_instance,
@@ -112,12 +117,39 @@ class TestExitCodes:
                    "--trace", "trace.json", "--baseline", "old.json") == 2
         assert "gap" in capsys.readouterr().err
 
-    def test_plan_without_trials_is_data_error(self, tmp_path, capsys):
-        assert run(tmp_path, "experiment", "--experiment", "uniform", "--n-grid", "10",
-                   "--trials", "0", "--m", "2", "--k", "3", "--eta", "0.9,0.9",
-                   "--out", "res") == 2
-        assert "at least one trial" in capsys.readouterr().err
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--trials", "0", "at least one trial"), ("--n-grid", "10,0", "at least 1"),
+        ("--tol", "0", "tol must be positive"), ("--tol", "nan", "tol must be positive"),
+        ("--eta", "0.3,0.9", "negative safety coefficient"),
+        ("--eta", None, "risk spec is empty"), ("--variants", "vanilla,vanilla", "named once")],
+        ids=["trials-0", "grid-point-0", "tol-0", "tol-nan", "negative-psi", "no-targets",
+             "variant-twice"])
+    def test_plan_without_trials_is_data_error(self, tmp_path, capsys, flag, value, message):
+        # every refusal comes from ExperimentPlan, before the run writes anything
+        options = {"--n-grid": "10", "--trials": "1", "--eta": "0.9,0.9",
+                   "--variants": "vanilla", flag: value}
+        argv = [word for flag, value in options.items() if value is not None
+                for word in (flag, value)]
+        assert run(tmp_path, "experiment", "--experiment", "uniform", "--m", "2", "--k", "3",
+                   "--no-baseline", *argv, "--out", "res") == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "res").exists()
+
+    @pytest.mark.parametrize("command", ["generate", "solve-online", "experiment"])
+    def test_negative_seed_is_data_error(self, tmp_path, capsys, command):
+        # the generator's Philox key, the tie-break stream and the cells' seeds
+        # are refused where their configs are built, not by numpy later
+        assert run(tmp_path, "generate", "--experiment", "uniform", "--n", "10", "--m", "2",
+                   "--k", "3", "--eta", "0.9,0.9") == 0
+        argv = {"generate": ["--experiment", "uniform", "--n", "10", "--m", "2", "--k", "3"],
+                "solve-online": ["--instance", "instance.json"],
+                "experiment": ["--experiment", "uniform", "--n-grid", "10", "--trials", "1",
+                               "--m", "2", "--k", "3", "--eta", "0.9,0.9"]}[command]
+        capsys.readouterr()
+        assert run(tmp_path, command, *argv, "--seed", "-1", "--out", "out.file") == 2
+        captured = capsys.readouterr()
+        assert "seed" in captured.err and "Traceback" not in captured.err
+        assert not captured.out and not (tmp_path / "out.file").exists()
 
     def test_other_plan_in_same_out_is_data_error(self, tmp_path, capsys):
         common = ("experiment", "--experiment", "uniform", "--n-grid", "10",
@@ -698,6 +730,23 @@ class TestInstanceSidecar:
         assert (tmp_path / "instance.json.npz").is_dir()
         assert not list(tmp_path.glob("*.tmp"))
 
+    @pytest.mark.parametrize("bit", [0, 5, 6], ids=["encrypted", "patched", "strong-encryption"])
+    def test_zip_flag_falls_back_to_the_json(self, tmp_path, capsys, bit):
+        # zipfile refuses these flag bits of a member with RuntimeError or
+        # NotImplementedError, not BadZipFile; the readers then decode the JSON
+        _pipeline(tmp_path)
+        before = _files(tmp_path)
+        sidecar = tmp_path / "instance.json.npz"
+        data = bytearray(sidecar.read_bytes())
+        entry = data.index(b"c.npy", data.index(b"PK\x01\x02")) - 46  # its central record
+        data[entry + 8] |= 1 << bit
+        sidecar.write_bytes(bytes(data))
+        for argv in (["baseline"], ["solve-online", "--variant", "marginal-dynamic", "--seed",
+                                    "8", "--trace"],
+                     ["evaluate", "--trace", "trace.json", "--baseline", "certificate.json"]):
+            assert run(tmp_path, *argv, "--instance", "instance.json") == 0
+        assert _files(tmp_path) == {**before, "instance.json.npz": bytes(data)}
+
     def test_nan_in_a_fresh_sidecar_exits_2(self, tmp_path, capsys):
         _pipeline(tmp_path)
         sidecar = tmp_path / "instance.json.npz"
@@ -710,6 +759,88 @@ class TestInstanceSidecar:
             assert run(tmp_path, *argv, "--instance", "instance.json", "--out", "out.file") == 2
             assert "revenues must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out.file").exists()
+
+
+#: Edits of a file's bytes: (kind, where, bytes).  ``where`` is taken modulo
+#: the file's length; a flip XORs one byte with the first of ``bytes``.
+BYTE_EDITS = hst.tuples(hst.sampled_from(["flip", "truncate", "insert"]),
+                        hst.integers(0, 2 ** 16), hst.binary(min_size=1, max_size=4))
+
+
+def _edited(data: bytes, edit) -> bytes:
+    kind, where, payload = edit
+    if kind == "replace":
+        return payload
+    i = where % len(data)
+    if kind == "flip":
+        return data[:i] + bytes([data[i] ^ (payload[0] or 1)]) + data[i + 1:]
+    return data[:i] if kind == "truncate" else data[:i] + payload + data[i:]
+
+
+#: Per file read back: the pristine file the edit is made to, where the edited
+#: bytes go, and every command that reads that file.  Each instance reader
+#: gets ``bad.json`` and its sidecar ``bad.json.npz``, one of them edited.
+#: ``evaluate`` is given the instance's own targets, so that an edit dropping
+#: them leaves an instance it scores, not a usage error.
+_INSTANCE_READERS = (["solve-online", "--instance", "bad.json"],
+                     ["baseline", "--instance", "bad.json"],
+                     ["evaluate", "--instance", "bad.json", "--trace", "trace.json",
+                      "--baseline", "certificate.json", "--eta", "0.9,0.8"])
+def _experiment(n_grid: str) -> list:
+    """An experiment run into ``res``; a run over another grid reads its parts."""
+    return ["experiment", "--experiment", "uniform", "--n-grid", n_grid, "--trials", "1",
+            "--m", "2", "--k", "3", "--eta", "0.9,0.8", "--variants", "vanilla",
+            "--no-baseline", "--out", "res"]
+
+
+READ_BACK = {
+    "instance": ("instance.json", "bad.json", _INSTANCE_READERS),
+    "sidecar": ("instance.json.npz", "bad.json.npz", _INSTANCE_READERS),
+    "trace": ("trace.json", "bad.json", (["evaluate", "--instance", "instance.json",
+                                          "--trace", "bad.json"],)),
+    "certificate": ("certificate.json", "bad.json", (
+        ["evaluate", "--instance", "instance.json", "--trace", "trace.json",
+         "--baseline", "bad.json"],)),
+    "plan": ("res/parts/plan.json", "res/parts/plan.json", (_experiment("20"),)),
+    "part": ("res/parts/cell_n10_t0.json", "res/parts/cell_n10_t0.json", (_experiment("20"),)),
+}
+
+
+class TestByteEdits:
+    """A byte flipped, a tail cut off or bytes inserted anywhere in a file a
+    command reads back makes that command succeed or exit 2 with a data
+    error: never a usage error, never an exception out of ``main``."""
+
+    @pytest.fixture(scope="class")
+    def pristine(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("pristine")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(root, "generate", "--experiment", "uniform", "--n", "10", "--m", "2",
+                       "--k", "3", "--eta", "0.9,0.8", "--seed", "4") == 0
+            assert run(root, "solve-online", "--instance", "instance.json") == 0
+            assert run(root, "baseline", "--instance", "instance.json") == 0
+            assert run(root, *_experiment("10")) == 0
+        return root
+
+    @pytest.mark.parametrize("name", list(READ_BACK))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(edit=BYTE_EDITS)
+    @example(edit=("replace", 0, b"[1]"))
+    @example(edit=("replace", 0, b"null"))
+    def test_exits_0_or_2(self, pristine, tmp_path_factory, name, edit):
+        source, target, readers = READ_BACK[name]
+        work = tmp_path_factory.mktemp(name)
+        shutil.copytree(pristine, work, dirs_exist_ok=True)
+        for suffix in ("", ".npz"):  # the instance the instance readers get
+            shutil.copy(pristine / f"instance.json{suffix}", work / f"bad.json{suffix}")
+        (work / target).write_bytes(_edited((pristine / source).read_bytes(), edit))
+        for argv in readers:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = run(work, *argv)
+            assert code == 0 or code == 2 and err.getvalue().startswith("data error: "), \
+                (argv, code, err.getvalue())
+        shutil.rmtree(work)
 
 
 class TestPipelineEquivalence:

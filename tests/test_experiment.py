@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from socalloc import (ConfigError, ExperimentPlan, GeneratorConfig,
+from socalloc import (ConfigError, ExperimentPlan, GeneratorConfig, SocAllocError,
                       VariantConfig, build_report, generate, linearize,
                       minimize_dual, run_experiment, run_online, run_trial,
                       to_soc, trial_seed)
@@ -101,6 +101,20 @@ class TestPlan:
         gen = GeneratorConfig("uniform", n=10, m=4, k=5, eta=ETA_GRID, seed=0)
         with pytest.raises(ConfigError, match="at least one trial"):
             ExperimentPlan(generator=gen, n_grid=n_grid, trials=trials)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"n_grid": (10, 0)}, "at least 1"), ({"master_seed": -1}, "master seed"),
+        ({"tol": 0.0}, "tol"), ({"tol": float("nan")}, "tol"),
+        ({"variants": (VariantConfig("marginal"),) * 2}, "named once"),
+        ({"generator": GeneratorConfig("uniform", n=10, m=2, k=2)}, "risk spec is empty"),
+        ({"generator": GeneratorConfig("uniform", n=10, m=2, k=2, eta=(0.9, 0.3))},
+         "negative safety coefficient")],
+        ids=["grid-point-0", "master-seed", "tol-0", "tol-nan", "variant-twice", "no-targets",
+             "negative-psi"])
+    def test_plan_that_cannot_run_refused(self, change, message):
+        gen = GeneratorConfig("uniform", n=10, m=4, k=5, eta=ETA_GRID, seed=0)
+        with pytest.raises(SocAllocError, match=message):
+            ExperimentPlan(**{"generator": gen, "n_grid": (10,), "trials": 1, **change})
 
 
 class TestRunExperiment:

@@ -197,6 +197,12 @@ class TestConfig:
         with pytest.raises(StructuralError):
             generate(GeneratorConfig("uniform", n=5, m=3, k=2, eta=(0.9, 0.9)))
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 128])
+    def test_seed_outside_philox_keys_rejected(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            GeneratorConfig("uniform", n=5, m=2, k=2, seed=seed)
+        generate(GeneratorConfig("uniform", n=5, m=2, k=2, seed=min(max(seed, 0), 2 ** 128 - 1)))
+
     @pytest.mark.parametrize("d", [(1.0, 0.0), (-1.0, 1.0), (float("nan"), 1.0)])
     def test_budget_must_be_positive(self, d):
         with pytest.raises(DomainError):

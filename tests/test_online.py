@@ -532,3 +532,8 @@ class TestVariantNames:
         from socalloc import ConfigError
         with pytest.raises(ConfigError):
             VariantConfig("turbo")
+
+    def test_negative_tie_break_seed_rejected(self):
+        # numpy's SeedSequence would refuse it only at the first tie
+        with pytest.raises(DomainError, match="seed"):
+            VariantConfig("vanilla", -1)

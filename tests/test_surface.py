@@ -46,6 +46,24 @@ def test_all_names_resolve():
         getattr(socalloc, name)
 
 
+def test_json_is_decoded_only_by_read_record():
+    # one reader refuses every damaged file the same way; a second json.load(s)
+    # would have to repeat its checks
+    found = []
+    for path in sorted((ROOT / "src" / "socalloc").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+                    and isinstance(node.value, ast.Name) and node.value.id == "json"
+                    or isinstance(node, ast.ImportFrom) and node.module == "json"):
+                scope = node
+                while not isinstance(scope, (ast.FunctionDef, ast.Module)):
+                    scope = parents[scope]
+                found.append(f"{path.stem}.{getattr(scope, 'name', '<module>')}")
+    assert found == ["model._read_record"]
+
+
 #: Layers the traced benchmark wraps where each entry module looks them up
 #: (perfbench/spans.py skips a missing one, and its layer then reads 0).
 WRAPPED = {"socalloc.experiment": ("run_trial", "minimize_dual", "build_report"),
