@@ -128,8 +128,8 @@ class TestExitCodes:
         # every refusal comes from ExperimentPlan, before the run writes anything
         options = {"--n-grid": "10", "--trials": "1", "--eta": "0.9,0.9",
                    "--variants": "vanilla", flag: value}
-        argv = [word for flag, value in options.items() if value is not None
-                for word in (flag, value)]
+        argv = [word for option, text in options.items() if text is not None
+                for word in (option, text)]
         assert run(tmp_path, "experiment", "--experiment", "uniform", "--m", "2", "--k", "3",
                    "--no-baseline", *argv, "--out", "res") == 2
         assert message in capsys.readouterr().err
@@ -762,7 +762,8 @@ class TestInstanceSidecar:
 
 
 #: Edits of a file's bytes: (kind, where, bytes).  ``where`` is taken modulo
-#: the file's length; a flip XORs one byte with the first of ``bytes``.
+#: the file's length; a flip XORs one byte with the first of ``bytes``, and
+#: the kind "replace", given only as an explicit example, writes ``bytes`` whole.
 BYTE_EDITS = hst.tuples(hst.sampled_from(["flip", "truncate", "insert"]),
                         hst.integers(0, 2 ** 16), hst.binary(min_size=1, max_size=4))
 
@@ -777,15 +778,6 @@ def _edited(data: bytes, edit) -> bytes:
     return data[:i] if kind == "truncate" else data[:i] + payload + data[i:]
 
 
-#: Per file read back: the pristine file the edit is made to, where the edited
-#: bytes go, and every command that reads that file.  Each instance reader
-#: gets ``bad.json`` and its sidecar ``bad.json.npz``, one of them edited.
-#: ``evaluate`` is given the instance's own targets, so that an edit dropping
-#: them leaves an instance it scores, not a usage error.
-_INSTANCE_READERS = (["solve-online", "--instance", "bad.json"],
-                     ["baseline", "--instance", "bad.json"],
-                     ["evaluate", "--instance", "bad.json", "--trace", "trace.json",
-                      "--baseline", "certificate.json", "--eta", "0.9,0.8"])
 def _experiment(n_grid: str) -> list:
     """An experiment run into ``res``; a run over another grid reads its parts."""
     return ["experiment", "--experiment", "uniform", "--n-grid", n_grid, "--trials", "1",
@@ -793,6 +785,16 @@ def _experiment(n_grid: str) -> list:
             "--no-baseline", "--out", "res"]
 
 
+#: Each instance reader gets ``bad.json`` and its sidecar ``bad.json.npz``, one
+#: of them edited.  ``evaluate`` is given the instance's own targets, so that an
+#: edit dropping them leaves an instance it scores, not a usage error.
+_INSTANCE_READERS = (["solve-online", "--instance", "bad.json"],
+                     ["baseline", "--instance", "bad.json"],
+                     ["evaluate", "--instance", "bad.json", "--trace", "trace.json",
+                      "--baseline", "certificate.json", "--eta", "0.9,0.8"])
+
+#: Per file read back: the pristine file the edit is made to, where the edited
+#: bytes go, and every command that reads that file.
 READ_BACK = {
     "instance": ("instance.json", "bad.json", _INSTANCE_READERS),
     "sidecar": ("instance.json.npz", "bad.json.npz", _INSTANCE_READERS),
