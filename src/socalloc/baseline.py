@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .model import _frozen, _json_field, _refuse, blocks
+from .model import _frozen, _json_field, _known, _refuse, blocks
 from .transform import LinearizedInstance, linear_columns
 
 
@@ -49,6 +49,7 @@ class DualCertificate:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DualCertificate":
+        _known(doc, ("value", "p_star", "iterations", "gap"))
         return cls(value=float(_json_field(doc, "value")),
                    p_star=_json_field(doc, "p_star", many=True),
                    iterations=_json_field(doc, "iterations", (int,)),
@@ -135,8 +136,7 @@ def _smoothed(prices: np.ndarray, lin: LinearizedInstance, mu: float):
             _fitted(float(weights @ lin.c.reshape(-1)), used, b))
 
 
-def minimize_dual(lin: LinearizedInstance, tol: float = 1e-6, *,
-                  iteration_cap: int = 20000) -> DualCertificate:
+def minimize_dual(lin: LinearizedInstance, tol: float = 1e-6) -> DualCertificate:
     """Minimize the dual function over nonnegative prices.
 
     ``value`` is exactly f(``p_star``); ``gap`` <= tol * max(|value|, 1)
@@ -145,8 +145,8 @@ def minimize_dual(lin: LinearizedInstance, tol: float = 1e-6, *,
     ``iterations`` counts every pass over the requests: one exact and
     one smoothed pass per stage, and one smoothed pass per Newton step;
     the steps stop at a smoothed KKT residual of min(1e-6, tol).  Raises
-    :class:`ConvergenceError`, with the best certificate so far, if
-    ``iteration_cap`` passes or mu = 1e-15 mu0 leave a gap.
+    :class:`ConvergenceError`, with the best certificate so far, if a gap
+    is left at mu < 1e-15 mu0: after at most 16 x 42 + 1 = 673 passes.
     """
     if not tol > 0:
         raise DomainError(f"tol must be positive, got {tol!r}")
@@ -165,7 +165,7 @@ def minimize_dual(lin: LinearizedInstance, tol: float = 1e-6, *,
         cert = DualCertificate(best_value, best_p, passes, max(best_value - lower, 0.0))
         if cert.gap <= tol * max(abs(best_value), 1.0):
             return cert
-        if passes >= iteration_cap or mu < 1e-15 * mu0:
+        if mu < 1e-15 * mu0:
             raise ConvergenceError(f"dual gap {cert.gap:.3g} above tol {tol:g} after {passes} "
                                    f"passes over the data, at mu = {mu:.3g}", certificate=cert)
 
@@ -176,7 +176,7 @@ def minimize_dual(lin: LinearizedInstance, tol: float = 1e-6, *,
         # Newton steps to a smoothed KKT residual of min(1e-6, tol), so all
         for _ in range(40):  # tols >= 1e-6 share one path and a looser one stops no later
             kkt = np.where(p > 0, np.abs(g), np.maximum(-g, 0.0)) / b
-            if kkt.max() <= min(1e-6, tol) or passes >= iteration_cap:
+            if kkt.max() <= min(1e-6, tol):
                 break
             free = (p > 0) | (g < 0)
             step = np.zeros(lin.m)

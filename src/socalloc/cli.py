@@ -55,40 +55,35 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _csv_floats(text: str) -> tuple:
-    try:
-        return tuple(float(x) for x in text.split(","))
-    except ValueError as err:
-        raise UsageError(f"expected a comma-separated list of numbers: {text!r}") from err
-
-
-def _csv_ints(text: str) -> tuple:
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError as err:
-        raise UsageError(f"expected a comma-separated list of integers: {text!r}") from err
-
-
-def _experiment_tag(flag: str) -> str:
-    return {"chi-square": "chi_square"}.get(flag, flag)
+def _csv(kind, noun: str):
+    """The argparse type of a comma-separated list of ``kind``."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(x) for x in text.split(","))
+        except ValueError as err:
+            raise UsageError(f"expected a comma-separated list of {noun}: {text!r}") from err
+    return parse
 
 
 def _build_parser() -> _Parser:
+    risk = _Parser(add_help=False)
+    risk.add_argument("--eta", type=_csv(float, "numbers"), default=None,
+                      help="comma-separated confidence levels, one per resource")
+    risk.add_argument("--gamma-tilde", type=_csv(float, "numbers"), default=None,
+                      help="comma-separated normalized caps, one per resource")
+    model = _Parser(add_help=False, parents=[risk])
+    model.add_argument("--experiment", choices=("uniform", "chi-square"), required=True)
+    model.add_argument("--m", type=int, required=True)
+    model.add_argument("--k", type=int, required=True)
+    model.add_argument("--d", type=_csv(float, "numbers"), default=None,
+                       help="per-step budgets (default: all ones)")
+    model.add_argument("--seed", type=int, default=0)
+
     parser = _Parser(prog="socalloc")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("generate", help="write a synthetic instance")
-    g.add_argument("--experiment", choices=("uniform", "chi-square"), required=True)
+    g = sub.add_parser("generate", parents=[model], help="write a synthetic instance")
     g.add_argument("--n", type=int, required=True)
-    g.add_argument("--m", type=int, required=True)
-    g.add_argument("--k", type=int, required=True)
-    g.add_argument("--eta", type=_csv_floats, default=None,
-                   help="comma-separated confidence levels, one per resource")
-    g.add_argument("--gamma-tilde", type=_csv_floats, default=None,
-                   help="comma-separated normalized caps, one per resource")
-    g.add_argument("--d", type=_csv_floats, default=None,
-                   help="per-step budgets (default: all ones)")
-    g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", default="instance.json")
     g.add_argument("--stream", action="store_true",
                    help="print requests as JSON lines instead of writing a file")
@@ -107,32 +102,23 @@ def _build_parser() -> _Parser:
     b.add_argument("--tol", type=float, default=1e-6)
     b.add_argument("--out", default="certificate.json")
 
-    e = sub.add_parser("evaluate", help="score a trace against its instance")
+    e = sub.add_parser("evaluate", parents=[risk],
+                       help="score a trace against its instance, or against "
+                            "--eta/--gamma-tilde in place of the instance's own")
     e.add_argument("--instance", required=True)
     e.add_argument("--trace", required=True, help="trace JSON from solve-online")
     e.add_argument("--baseline", default=None, help="certificate JSON (optional)")
-    e.add_argument("--eta", type=_csv_floats, default=None,
-                   help="confidence levels to use in place of the instance's own")
-    e.add_argument("--gamma-tilde", type=_csv_floats, default=None,
-                   help="normalized caps to use in place of the instance's own")
     e.add_argument("--experiment", default="custom", help="label for the CSV row")
     e.add_argument("--variant", default="unknown", help="label for the CSV row")
     e.add_argument("--trial", type=int, default=0, help="label for the CSV row")
     e.add_argument("--seed", type=int, default=0, help="label for the CSV row")
     e.add_argument("--out", default="metrics.csv")
 
-    x = sub.add_parser("experiment", help="full sweep: generate, solve, score")
-    x.add_argument("--experiment", choices=("uniform", "chi-square"), required=True)
-    x.add_argument("--n-grid", type=_csv_ints, required=True)
+    x = sub.add_parser("experiment", parents=[model], help="full sweep: generate, solve, score")
+    x.add_argument("--n-grid", type=_csv(int, "integers"), required=True)
     x.add_argument("--trials", type=int, default=20)
-    x.add_argument("--m", type=int, required=True)
-    x.add_argument("--k", type=int, required=True)
-    x.add_argument("--eta", type=_csv_floats, default=None)
-    x.add_argument("--gamma-tilde", type=_csv_floats, default=None)
-    x.add_argument("--d", type=_csv_floats, default=None)
     x.add_argument("--variants", default="vanilla,marginal,marginal-dynamic",
                    help="comma-separated subset of " + ",".join(VARIANTS))
-    x.add_argument("--seed", type=int, default=0)
     x.add_argument("--tol", type=float, default=1e-6)
     x.add_argument("--no-baseline", action="store_true",
                    help="skip dual certificates (gap/ratio become NaN)")
@@ -140,10 +126,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _generator(args, n: int) -> GeneratorConfig:
+    """The generator the model flags of ``generate`` or ``experiment`` name, up to n requests."""
+    return GeneratorConfig(experiment=args.experiment.replace("-", "_"), n=n, m=args.m,
+                           k=args.k, d=args.d, eta=args.eta, gamma_tilde=args.gamma_tilde,
+                           seed=args.seed)
+
+
 def _cmd_generate(args) -> int:
-    config = GeneratorConfig(
-        experiment=_experiment_tag(args.experiment), n=args.n, m=args.m, k=args.k,
-        d=args.d, eta=args.eta, gamma_tilde=args.gamma_tilde, seed=args.seed)
+    config = _generator(args, args.n)
     if args.eta is not None or args.gamma_tilde is not None:
         safety_coefficients(config.risk())  # rejects a negative psi before writing
     if args.stream:
@@ -241,12 +232,8 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_experiment(args) -> int:
     variants = tuple(VariantConfig(v) for v in args.variants.split(","))
-    config = GeneratorConfig(
-        experiment=_experiment_tag(args.experiment), n=max(args.n_grid),
-        m=args.m, k=args.k, d=args.d, eta=args.eta,
-        gamma_tilde=args.gamma_tilde, seed=args.seed)
-    plan = ExperimentPlan(generator=config, n_grid=args.n_grid, trials=args.trials,
-                          variants=variants, output_dir=args.out,
+    plan = ExperimentPlan(generator=_generator(args, max(args.n_grid)), n_grid=args.n_grid,
+                          trials=args.trials, variants=variants, output_dir=args.out,
                           master_seed=args.seed, tol=args.tol,
                           compute_baseline=not args.no_baseline)
     run_experiment(plan)
@@ -274,7 +261,7 @@ def main(argv=None) -> int:
     except ConvergenceError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (SocAllocError, OSError, KeyError) as err:
+    except (SocAllocError, OSError) as err:
         print(f"data error: {err}", file=sys.stderr)
         return EXIT_DATA
 

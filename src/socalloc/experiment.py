@@ -33,7 +33,7 @@ from .errors import ConfigError, ConvergenceError, DomainError
 from .generate import GeneratorConfig, RequestDraws
 from .metrics import (_SCALARS, MetricsReport, aggregate, build_report, csv_header, csv_row,
                       scaling_slope)
-from .model import RiskSpec, _json_field, _read_record, _refuse, _write_replacing
+from .model import RiskSpec, _json_field, _known, _read_record, _refuse, _write_replacing
 from .online import Lanes, VariantConfig
 from .transform import LinearizedInstance, safety_coefficients
 
@@ -194,24 +194,27 @@ def _part_text(seed: int, status: str, results: dict) -> str:
         for name, report in results.items()}})
 
 
-def _read_parts(parts_dir: Path, m: int):
-    """Every part present as ((n, trial), seed, status, reports), in (n, trial) order;
-    a DomainError names a part that does not hold reports over m resources."""
+def _read_parts(parts_dir: Path, m: int, names):
+    """Every part as ((n, trial), seed, status, reports) in (n, trial) order; a DomainError
+    names a part without reports over m resources for exactly the variants ``names``."""
     found = sorted((tuple(int(g) for g in match.groups()), path)
                    for path in parts_dir.iterdir()
                    if (match := re.fullmatch(r"cell_n(\d+)_t(\d+)\.json", path.name)))
+
+    def read(doc):
+        _known(doc, ("seed", "status", "reports"))
+        _known(reports := _json_field(doc, "reports", (dict,)), names)
+        return (_json_field(doc, "seed", (int,)), _json_field(doc, "status", (str,)),
+                {name: _read_report(_json_field(reports, name, (dict,)), m) for name in names})
+
     for key, path in found:
-        yield _read_record(path, lambda doc: (
-            key, _json_field(doc, "seed", (int,)), _json_field(doc, "status", (str,)),
-            {name: _read_report(fields, m)
-             for name, fields in _json_field(doc, "reports", (dict,)).items()}))
+        yield key, *_read_record(path, read)
 
 
 def _read_report(doc, m: int) -> MetricsReport:
     """A part's report: exactly ``MetricsReport``'s fields, each a JSON number
     (NaN included), ``per_constraint`` an object of lists of m numbers."""
-    if type(doc) is not dict or doc.keys() != {*_SCALARS, "per_constraint"}:
-        raise DomainError("a report does not hold exactly the fields of MetricsReport")
+    _known(doc, (*_SCALARS, "per_constraint"))
     per = _json_field(doc, "per_constraint", (dict,))
     per = {key: _json_field(per, key, many=True) for key in per}
     if any(len(vec) != m for vec in per.values()):
@@ -243,7 +246,7 @@ def run_experiment(plan: ExperimentPlan) -> dict:
     experiment = plan.generator.experiment
     by_variant_n: dict = {v.variant: {} for v in plan.variants}
     failed, trials, lines = [], {}, [csv_header(m)]
-    for (n, t), seed, status, reports in _read_parts(parts_dir, m):
+    for (n, t), seed, status, reports in _read_parts(parts_dir, m, by_variant_n):
         lines += [csv_row(experiment, v.variant, n, t, seed, reports[v.variant], m,
                          status=status) for v in plan.variants]
         if status != "ok":

@@ -263,6 +263,12 @@ def _request_field(reqs: list, name: str, depth: int) -> np.ndarray:
         raise DomainError(f"field {name!r} is ragged or out of the range of doubles") from err
 
 
+def _known(keys, fields) -> None:
+    """A DomainError naming the least of ``keys`` outside ``fields``."""
+    if unknown := set(keys) - set(fields):
+        raise DomainError(f"unknown field {min(unknown)!r}")
+
+
 def _read_record(path, build):
     """``build(doc)`` of the JSON object ``doc`` in the file ``path``.  Bytes that
     are not UTF-8 text or not JSON, another JSON value, a missing field and a
@@ -281,12 +287,15 @@ def _read_record(path, build):
 
 
 def _instance_from_dict(doc: dict) -> Instance:
+    _known(doc, ("n", "m", "k", "d", "risk", "requests"))
     risk_doc = {} if doc.get("risk") is None else _json_field(doc, "risk", (dict,))
+    _known(risk_doc, _RISK_FIELDS)
     risk = RiskSpec(**{name: _json_field(risk_doc, name, many=True)
                        for name in _RISK_FIELDS if risk_doc.get(name) is not None})
     reqs = _json_field(doc, "requests", (list,))
     if not reqs or not set(map(type, reqs)) <= {dict}:
         raise DomainError("field 'requests' must be a nonempty list of objects")
+    _known(chain.from_iterable(reqs), ("c", "a_bar", "k_diag"))
     inst = Instance(_request_field(reqs, "c", 1), _request_field(reqs, "a_bar", 2),
                     _request_field(reqs, "k_diag", 2), _json_field(doc, "d", many=True), risk)
     for name in ("n", "m", "k"):
@@ -432,12 +441,13 @@ def _trace_to_dict(trace: SolutionTrace) -> dict:
 
 
 def _trace_from_dict(doc: dict) -> SolutionTrace:
+    _known(doc, ("decisions", "objective", "mean_consumption", "variance_accum", "max_dual_inf"))
     return SolutionTrace(
         decisions=tuple(_json_field(doc, "decisions", (list,))),
         objective=float(_json_field(doc, "objective")),
         mean_consumption=_json_field(doc, "mean_consumption", many=True),
         variance_accum=_json_field(doc, "variance_accum", many=True),
-        max_dual_inf=float(_json_field(doc, "max_dual_inf")) if "max_dual_inf" in doc else 0.0,
+        max_dual_inf=float(_json_field(doc, "max_dual_inf")),
     )
 
 

@@ -156,19 +156,18 @@ class TestMinimizeDual:
         with pytest.raises(DomainError):
             minimize_dual(toy_m1(), tol=0.0)
 
-    def test_iteration_cap_carries_best_certificate(self):
+    def test_mu_floor_carries_best_certificate(self):
         rng = np.random.default_rng(6)
         inst = random_instance(rng, n=30, psi=np.zeros(4))
         lin = linearize(inst)
-        with pytest.raises(ConvergenceError) as exc:
-            minimize_dual(lin, tol=1e-15, iteration_cap=50)
+        with pytest.raises(ConvergenceError, match="at mu") as exc:
+            minimize_dual(lin, tol=1e-15)
         cert = exc.value.certificate
         assert isinstance(cert, DualCertificate)
-        assert cert.iterations >= 50
         assert cert.value >= 0
-        # the cap counts passes over the data; at most one exact pass
-        # follows the pass that reaches it
-        assert cert.iterations <= 52
+        # 16 stages (mu0 down to 1e-15 mu0) of one exact, one smoothed and at
+        # most 40 Newton passes, then the exact pass of the stage that stops
+        assert cert.iterations <= 16 * 42 + 1
         assert cert.value == dual_value(cert.p_star, lin)
         assert cert.gap > 1e-15 * cert.value
 

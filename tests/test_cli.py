@@ -1,5 +1,6 @@
 """CLI: subcommand pipeline, exit codes, pipeline/harness equivalence."""
 
+import argparse
 import contextlib
 import errno
 import io
@@ -16,7 +17,7 @@ from hypothesis import strategies as hst
 from socalloc import (DualCertificate, GeneratorConfig, OnlineSolver, VariantConfig,
                       build_report, generate, load_instance, load_trace, save_instance,
                       to_soc, trial_seed)
-from socalloc.cli import main
+from socalloc.cli import _COMMANDS, _build_parser, main
 from socalloc.metrics import csv_header, csv_row
 
 from helpers import step, steps_csv, traced_peak_mb, zip_members
@@ -159,6 +160,97 @@ class TestExitCodes:
         assert run(tmp_path, *common, "--m", "3", "--eta", "0.9,0.9,0.9") == 2
         assert "another plan" in capsys.readouterr().err
 
+    def test_key_error_in_a_command_propagates(self, tmp_path, monkeypatch):
+        # main turns the program's errors and OSError into exit codes, not a
+        # KeyError, which would be a fault of the program
+        def broken(args):
+            raise KeyError("x")
+        monkeypatch.setitem(_COMMANDS, "baseline", broken)
+        with pytest.raises(KeyError):
+            run(tmp_path, "baseline", "--instance", "instance.json")
+
+
+#: Every flag of the commands that take the model and risk flags, with and
+#: without the optional ones, and the namespace each parses to.
+_PARSED = [
+    (["generate", "--experiment", "uniform", "--n", "10", "--m", "2", "--k", "3"],
+     {"command": "generate", "d": None, "eta": None, "experiment": "uniform",
+      "gamma_tilde": None, "k": 3, "m": 2, "n": 10, "out": "instance.json", "seed": 0,
+      "stream": False}),
+    (["generate", "--experiment", "chi-square", "--n", "10", "--m", "2", "--k", "3",
+      "--eta", "0.9,0.8", "--gamma-tilde", "0.3,0.25", "--d", "1,2.5", "--seed", "7",
+      "--out", "x.json", "--stream"],
+     {"command": "generate", "d": (1.0, 2.5), "eta": (0.9, 0.8), "experiment": "chi-square",
+      "gamma_tilde": (0.3, 0.25), "k": 3, "m": 2, "n": 10, "out": "x.json", "seed": 7,
+      "stream": True}),
+    (["experiment", "--experiment", "uniform", "--n-grid", "100,400", "--m", "2", "--k", "3"],
+     {"command": "experiment", "d": None, "eta": None, "experiment": "uniform",
+      "gamma_tilde": None, "k": 3, "m": 2, "n_grid": (100, 400), "no_baseline": False,
+      "out": "results", "seed": 0, "tol": 1e-06, "trials": 20,
+      "variants": "vanilla,marginal,marginal-dynamic"}),
+    (["experiment", "--experiment", "chi-square", "--n-grid", "50", "--trials", "2",
+      "--m", "2", "--k", "3", "--eta", "0.9,0.8", "--gamma-tilde", "0.3,0.25", "--d", "1,2.5",
+      "--variants", "vanilla,marginal", "--seed", "7", "--tol", "1e-4", "--no-baseline",
+      "--out", "res"],
+     {"command": "experiment", "d": (1.0, 2.5), "eta": (0.9, 0.8), "experiment": "chi-square",
+      "gamma_tilde": (0.3, 0.25), "k": 3, "m": 2, "n_grid": (50,), "no_baseline": True,
+      "out": "res", "seed": 7, "tol": 0.0001, "trials": 2, "variants": "vanilla,marginal"}),
+    (["evaluate", "--instance", "i.json", "--trace", "t.json"],
+     {"baseline": None, "command": "evaluate", "eta": None, "experiment": "custom",
+      "gamma_tilde": None, "instance": "i.json", "out": "metrics.csv", "seed": 0,
+      "trace": "t.json", "trial": 0, "variant": "unknown"}),
+    (["evaluate", "--instance", "i.json", "--trace", "t.json", "--baseline", "c.json",
+      "--eta", "0.9,0.8", "--gamma-tilde", "0.3,0.25", "--experiment", "label",
+      "--variant", "marginal", "--trial", "3", "--seed", "5", "--out", "m.csv"],
+     {"baseline": "c.json", "command": "evaluate", "eta": (0.9, 0.8), "experiment": "label",
+      "gamma_tilde": (0.3, 0.25), "instance": "i.json", "out": "m.csv", "seed": 5,
+      "trace": "t.json", "trial": 3, "variant": "marginal"}),
+]
+
+
+def _options(parser, command: str) -> dict:
+    """The actions of ``command``'s parser, by destination."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {action.dest: action for action in sub.choices[command]._actions}
+
+
+class TestFlags:
+    @pytest.mark.parametrize("argv, expected", _PARSED,
+                             ids=[f"{argv[0]}-{len(argv)}" for argv, _ in _PARSED])
+    def test_namespace(self, argv, expected):
+        assert vars(_build_parser().parse_args(argv)) == expected
+
+    @pytest.mark.parametrize("command, dest", [
+        *(("experiment", dest) for dest in ("experiment", "m", "k", "d", "eta",
+                                            "gamma_tilde", "seed")),
+        ("evaluate", "eta"), ("evaluate", "gamma_tilde")])
+    def test_shared_flag_agrees_with_generate(self, command, dest):
+        def spec(name):
+            action = _options(parser, name)[dest]
+            return (action.option_strings, action.type, action.default, action.choices,
+                    action.required, action.help)
+        parser = _build_parser()
+        assert spec(command) == spec("generate")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["generate", "--experiment", "uniform", "--n", "5", "--m", "2", "--k", "2",
+          "--eta", "0.9,x"], "a comma-separated list of numbers: '0.9,x'"),
+        (["generate", "--experiment", "uniform", "--n", "5", "--m", "2", "--k", "2",
+          "--d", "1,"], "a comma-separated list of numbers: '1,'"),
+        (["experiment", "--experiment", "uniform", "--m", "2", "--k", "2",
+          "--n-grid", "10,1.5"], "a comma-separated list of integers: '10,1.5'"),
+        (["experiment", "--experiment", "uniform", "--m", "2", "--k", "2", "--n-grid", "10",
+          "--gamma-tilde", ""], "a comma-separated list of numbers: ''"),
+        (["evaluate", "--instance", "i.json", "--trace", "t.json", "--eta", "high"],
+         "a comma-separated list of numbers: 'high'")],
+        ids=["generate-eta", "generate-d", "experiment-n-grid", "experiment-gamma-tilde",
+             "evaluate-eta"])
+    def test_malformed_list_is_usage_error(self, tmp_path, capsys, argv, message):
+        assert run(tmp_path, *argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"usage error: expected {message}\n" and not captured.out
+        assert not any(tmp_path.iterdir())
+
 
 def _zero_budget(doc):
     doc["d"][1] = 0.0
@@ -293,8 +385,8 @@ def _edit_part(edit):
 class TestDamagedResultsDirectory:
     """A part file or plan.json that is not UTF-8 text or not a JSON object,
     or a part whose reports are not MetricsReport's fields of JSON numbers
-    over the plan's resources, makes the next experiment run into its directory a data error naming
-    the file."""
+    over the plan's resources for exactly the plan's variants, makes the next
+    experiment run into its directory a data error naming the file."""
 
     @pytest.mark.parametrize("name, damage", [
         ("cell_n10_t0.json", lambda data: data.replace(b'"', b'"\xff', 1)),
@@ -307,10 +399,13 @@ class TestDamagedResultsDirectory:
             extra=1.0))),
         ("cell_n10_t0.json", _edit_part(lambda doc: doc["reports"]["vanilla"][
             "per_constraint"].update(soc_violation=[0.5]))),
-        ("cell_n10_t0.json", _edit_part(lambda doc: doc.pop("seed")))],
+        ("cell_n10_t0.json", _edit_part(lambda doc: doc.pop("seed"))),
+        ("cell_n10_t0.json", _edit_part(lambda doc: doc["reports"].update(
+            vanillb=doc["reports"].pop("vanilla")))),
+        ("cell_n10_t0.json", _edit_part(lambda doc: doc["reports"].clear()))],
         ids=["part-not-utf8", "plan-not-utf8", "plan-not-an-object", "reports-null",
              "objective-a-string", "report-extra-field", "vector-of-one-resource",
-             "part-without-seed"])
+             "part-without-seed", "variant-renamed", "variant-missing"])
     def test_exits_2(self, tmp_path, capsys, name, damage):
         common = ("experiment", "--experiment", "uniform", "--trials", "1", "--m", "2",
                   "--k", "3", "--eta", "0.9,0.9", "--variants", "vanilla",
@@ -322,6 +417,58 @@ class TestDamagedResultsDirectory:
         assert run(tmp_path, *common, "--n-grid", "20") == 2
         err = capsys.readouterr().err
         assert f"parts/{name}" in err and "Traceback" not in err
+
+
+def _rename(key, new, within=None):
+    """An edit renaming ``doc[key]`` (``doc[within][key]`` with ``within``) to ``new``."""
+    def edit(doc):
+        inner = doc if within is None else doc[within]
+        inner[new] = inner.pop(key)
+    return edit
+
+
+class TestUnknownFields:
+    """A field outside the ones its kind of file holds, renamed from one of
+    them or added, is a data error naming the file for every command that
+    reads it."""
+
+    @pytest.mark.parametrize("name, edit, field", [
+        ("instance.json", _rename("eta", "eua", within="risk"), "eua"),
+        ("instance.json", lambda doc: doc.update(extra=1), "extra"),
+        ("instance.json", lambda doc: doc["requests"][3].update(weight=[1.0]), "weight"),
+        ("trace.json", _rename("max_dual_inf", "max_dual_ing"), "max_dual_ing"),
+        ("trace.json", lambda doc: doc.update(extra=1), "extra"),
+        ("certificate.json", _rename("gap", "gaps"), "gaps"),
+        ("certificate.json", lambda doc: doc.update(extra=[]), "extra"),
+        ("res/parts/cell_n10_t0.json", lambda doc: doc.update(extra="x"), "extra")],
+        ids=["instance-risk-renamed", "instance-extra", "request-extra", "trace-renamed",
+             "trace-extra", "certificate-renamed", "certificate-extra", "part-extra"])
+    def test_exits_2(self, tmp_path, capsys, name, edit, field):
+        experiment = ["experiment", "--experiment", "uniform", "--trials", "1", "--m", "2",
+                      "--k", "3", "--eta", "0.9,0.8", "--variants", "vanilla",
+                      "--no-baseline", "--out", "res", "--n-grid"]
+        evaluate = ["evaluate", "--instance", "instance.json", "--trace", "trace.json",
+                    "--baseline", "certificate.json", "--out", "out.file"]
+        readers = {"instance.json": [["solve-online", "--instance", "instance.json",
+                                      "--out", "out.file"],
+                                     ["baseline", "--instance", "instance.json",
+                                      "--out", "out.file"], evaluate],
+                   "trace.json": [evaluate], "certificate.json": [evaluate],
+                   "res/parts/cell_n10_t0.json": [experiment + ["20"]]}[name]
+        assert run(tmp_path, "generate", "--experiment", "uniform", "--n", "10", "--m", "2",
+                   "--k", "3", "--eta", "0.9,0.8", "--gamma-tilde", "0.3,0.3") == 0
+        assert run(tmp_path, "solve-online", "--instance", "instance.json") == 0
+        assert run(tmp_path, "baseline", "--instance", "instance.json") == 0
+        assert run(tmp_path, *experiment, "10") == 0
+        doc = json.loads((tmp_path / name).read_text())
+        edit(doc)
+        (tmp_path / name).write_text(json.dumps(doc))  # the sidecar is now stale
+        for argv in readers:
+            capsys.readouterr()
+            assert run(tmp_path, *argv) == 2
+            err = capsys.readouterr().err
+            assert f"{name}: unknown field {field!r}" in err and "Traceback" not in err
+            assert not (tmp_path / "out.file").exists()
 
 
 def _drop_decision(doc):
@@ -410,6 +557,12 @@ class TestBadTraceOrCertificate:
     def test_wrong_json_type_exits_2(self, files, capsys, name, key, index, value):
         code, err = self.evaluate(files, capsys, name, _set(key, index, value))
         assert code == 2 and f"field {key!r} has the wrong JSON type" in err
+        assert not (files / "out.csv").exists()
+
+    def test_trace_without_peak_price_exits_2(self, files, capsys):
+        # max_dual_inf is required, as a certificate's gap is
+        code, err = self.evaluate(files, capsys, "trace", lambda doc: doc.pop("max_dual_inf"))
+        assert code == 2 and "bad.json lacks the field 'max_dual_inf'" in err
         assert not (files / "out.csv").exists()
 
     def test_prices_of_wrong_length_exit_2(self, files, capsys):
