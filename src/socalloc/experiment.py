@@ -194,33 +194,35 @@ def _part_text(seed: int, status: str, results: dict) -> str:
         for name, report in results.items()}})
 
 
-def _read_parts(parts_dir: Path, m: int, names):
-    """Every part as ((n, trial), seed, status, reports) in (n, trial) order; a DomainError
-    names a part without reports over m resources for exactly the variants ``names``."""
+def _read_parts(parts_dir: Path, plan: ExperimentPlan):
+    """Every part as ((n, trial), seed, status, reports) in (n, trial) order.  A DomainError
+    names a part unless its reports, for exactly the plan's variants, hold exactly
+    ``MetricsReport``'s fields, each a JSON number (NaN included), and ``per_constraint``
+    exactly the vectors the plan's risk targets imply, each of m numbers."""
     found = sorted((tuple(int(g) for g in match.groups()), path)
                    for path in parts_dir.iterdir()
                    if (match := re.fullmatch(r"cell_n(\d+)_t(\d+)\.json", path.name)))
+    gen, names = plan.generator, [v.variant for v in plan.variants]
+    vectors = (("probability_deviation",) * (gen.eta is not None)  # in build_report's order
+               + ("normalized_ce", "raw_ce") * (gen.gamma_tilde is not None) + ("soc_violation",))
+
+    def report(doc):
+        _known(doc, (*_SCALARS, "per_constraint"))
+        _known(per := _json_field(doc, "per_constraint", (dict,)), vectors)
+        per = {key: _json_field(per, key, many=True) for key in vectors}
+        if any(len(vec) != gen.m for vec in per.values()):
+            raise DomainError(f"a report's per-constraint vectors must have {gen.m} entries")
+        return MetricsReport(**{name: _json_field(doc, name) for name in _SCALARS},
+                             per_constraint=per)
 
     def read(doc):
         _known(doc, ("seed", "status", "reports"))
         _known(reports := _json_field(doc, "reports", (dict,)), names)
         return (_json_field(doc, "seed", (int,)), _json_field(doc, "status", (str,)),
-                {name: _read_report(_json_field(reports, name, (dict,)), m) for name in names})
+                {name: report(_json_field(reports, name, (dict,))) for name in names})
 
     for key, path in found:
         yield key, *_read_record(path, read)
-
-
-def _read_report(doc, m: int) -> MetricsReport:
-    """A part's report: exactly ``MetricsReport``'s fields, each a JSON number
-    (NaN included), ``per_constraint`` an object of lists of m numbers."""
-    _known(doc, (*_SCALARS, "per_constraint"))
-    per = _json_field(doc, "per_constraint", (dict,))
-    per = {key: _json_field(per, key, many=True) for key in per}
-    if any(len(vec) != m for vec in per.values()):
-        raise DomainError(f"a report's per-constraint vectors must have {m} entries")
-    return MetricsReport(**{name: _json_field(doc, name) for name in _SCALARS},
-                         per_constraint=per)
 
 
 def run_experiment(plan: ExperimentPlan) -> dict:
@@ -242,17 +244,15 @@ def run_experiment(plan: ExperimentPlan) -> dict:
     # All three files are built from every part present, so that processes
     # running disjoint grids into the same directory union cleanly instead
     # of clobbering each other.
-    m = plan.generator.m
-    experiment = plan.generator.experiment
+    m, experiment = plan.generator.m, plan.generator.experiment
     by_variant_n: dict = {v.variant: {} for v in plan.variants}
     failed, trials, lines = [], {}, [csv_header(m)]
-    for (n, t), seed, status, reports in _read_parts(parts_dir, m, by_variant_n):
-        lines += [csv_row(experiment, v.variant, n, t, seed, reports[v.variant], m,
-                         status=status) for v in plan.variants]
+    for (n, t), seed, status, reports in _read_parts(parts_dir, plan):
         if status != "ok":
             failed.append({"n": n, "trial": t, "seed": seed, "status": status})
         trials[n] = trials.get(n, 0) + 1
-        for name, report in reports.items():
+        for name, report in reports.items():  # in the plan's order of variants
+            lines.append(csv_row(experiment, name, n, t, seed, report, m, status=status))
             by_variant_n[name].setdefault(n, []).append(report)
     _write_replacing(out_dir / "metrics.csv", lambda fh: fh.write("".join(lines).encode()))
 

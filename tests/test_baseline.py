@@ -171,6 +171,16 @@ class TestMinimizeDual:
         assert cert.value == dual_value(cert.p_star, lin)
         assert cert.gap > 1e-15 * cert.value
 
+    def test_stages_end_where_mu_underflows(self):
+        # revenues near the least double make mu reach 0 within the 16 stages;
+        # they still end, with the certificate, below a gap the tol cannot meet
+        rng = np.random.default_rng(6)
+        inst = random_instance(rng, n=30, psi=np.zeros(4))
+        lin = linearize(Instance(inst.c * 1e-312, inst.a_bar, inst.k_diag, inst.d, inst.risk))
+        with np.errstate(all="ignore"), pytest.raises(ConvergenceError) as exc:
+            minimize_dual(lin, tol=1e-322)
+        assert exc.value.certificate.iterations <= 16 * 42 + 1
+
     def test_convexity_probe(self):
         rng = np.random.default_rng(7)
         inst = random_instance(rng, n=30, psi=rng.uniform(0, 2, 4))

@@ -384,9 +384,10 @@ def _edit_part(edit):
 
 class TestDamagedResultsDirectory:
     """A part file or plan.json that is not UTF-8 text or not a JSON object,
-    or a part whose reports are not MetricsReport's fields of JSON numbers
-    over the plan's resources for exactly the plan's variants, makes the next
-    experiment run into its directory a data error naming the file."""
+    or a part whose reports are not MetricsReport's fields of JSON numbers,
+    with the vectors the plan's risk targets imply over its resources, for
+    exactly the plan's variants, makes the next experiment run into its
+    directory a data error naming the file."""
 
     @pytest.mark.parametrize("name, damage", [
         ("cell_n10_t0.json", lambda data: data.replace(b'"', b'"\xff', 1)),
@@ -402,12 +403,21 @@ class TestDamagedResultsDirectory:
         ("cell_n10_t0.json", _edit_part(lambda doc: doc.pop("seed"))),
         ("cell_n10_t0.json", _edit_part(lambda doc: doc["reports"].update(
             vanillb=doc["reports"].pop("vanilla")))),
-        ("cell_n10_t0.json", _edit_part(lambda doc: doc["reports"].clear()))],
+        ("cell_n10_t0.json", _edit_part(lambda doc: doc["reports"].clear())),
+        ("cell_n10_t0.json", _edit_part(lambda doc: doc["reports"]["vanilla"][
+            "per_constraint"].update(probability_devs=doc["reports"]["vanilla"][
+                "per_constraint"].pop("probability_deviation")))),
+        ("cell_n10_t1.json", _edit_part(lambda doc: doc["reports"]["vanilla"][
+            "per_constraint"].pop("soc_violation"))),
+        ("cell_n10_t1.json", _edit_part(lambda doc: doc["reports"]["vanilla"][
+            "per_constraint"].update(raw_ce=[0.0, 0.0])))],
         ids=["part-not-utf8", "plan-not-utf8", "plan-not-an-object", "reports-null",
              "objective-a-string", "report-extra-field", "vector-of-one-resource",
-             "part-without-seed", "variant-renamed", "variant-missing"])
+             "part-without-seed", "variant-renamed", "variant-missing",
+             "vector-renamed", "vector-missing", "vector-the-risk-lacks"])
     def test_exits_2(self, tmp_path, capsys, name, damage):
-        common = ("experiment", "--experiment", "uniform", "--trials", "1", "--m", "2",
+        # two trials an n, so that a report's vectors meet another trial's
+        common = ("experiment", "--experiment", "uniform", "--trials", "2", "--m", "2",
                   "--k", "3", "--eta", "0.9,0.9", "--variants", "vanilla",
                   "--no-baseline", "--out", "res")
         assert run(tmp_path, *common, "--n-grid", "10") == 0
