@@ -32,9 +32,9 @@ import numpy as np
 from .baseline import DualCertificate, dual_value, minimize_dual
 from .errors import ConvergenceError, DomainError, SocAllocError
 from .experiment import ExperimentPlan, run_experiment
-from .generate import GeneratorConfig, RequestDraws, stream_requests
+from .generate import GeneratorConfig, RequestDraws
 from .metrics import build_report, csv_header, csv_row
-from .model import (CHUNK, Instance, RiskSpec, _read_record, _write_replacing,
+from .model import (CHUNK, Instance, RiskSpec, _read_record, _write_replacing, blocks,
                     load_instance, load_trace, save_instance, save_trace)
 from .online import VARIANTS, OnlineSolver, VariantConfig
 from .transform import linearize, safety_coefficients, to_soc
@@ -108,7 +108,8 @@ def _build_parser() -> _Parser:
     e.add_argument("--instance", required=True)
     e.add_argument("--trace", required=True, help="trace JSON from solve-online")
     e.add_argument("--baseline", default=None, help="certificate JSON (optional)")
-    e.add_argument("--experiment", default="custom", help="label for the CSV row")
+    e.add_argument("--experiment", default="custom",
+                   help="label for the CSV row, with '-' written as '_' as in model names")
     e.add_argument("--variant", default="unknown", help="label for the CSV row")
     e.add_argument("--trial", type=int, default=0, help="label for the CSV row")
     e.add_argument("--seed", type=int, default=0, help="label for the CSV row")
@@ -138,9 +139,10 @@ def _cmd_generate(args) -> int:
     if args.eta is not None or args.gamma_tilde is not None:
         safety_coefficients(config.risk())  # rejects a negative psi before writing
     if args.stream:
-        for t, (c, a_bar, k_diag) in enumerate(stream_requests(config)):
-            print(json.dumps({"t": t, "c": c.tolist(), "a_bar": a_bar.tolist(),
-                              "k_diag": k_diag.tolist()}))
+        for start, *block in blocks(RequestDraws(config)):
+            for t, (c, a_bar, k_diag) in enumerate(zip(*block), start):
+                print(json.dumps({"t": t, "c": c.tolist(), "a_bar": a_bar.tolist(),
+                                  "k_diag": k_diag.tolist()}))
         return EXIT_OK
     save_instance(RequestDraws(config), args.out)
     print(f"wrote {args.out} (n={config.n}, m={config.m}, k={config.k})")
@@ -224,8 +226,9 @@ def _cmd_evaluate(args) -> int:
             raise DomainError(f"{args.baseline}: the certificate's value is not the dual "
                               f"value {value!r} of its prices on this instance")
     report = build_report(instance, trace, baseline)
+    label = args.experiment.replace("-", "_")  # as _generator names the model
     _write_replacing(Path(args.out), lambda fh: fh.write((csv_header(m) + csv_row(
-        args.experiment, args.variant, n, args.trial, args.seed, report, m)).encode()))
+        label, args.variant, n, args.trial, args.seed, report, m)).encode()))
     print(f"wrote {args.out}")
     return EXIT_OK
 

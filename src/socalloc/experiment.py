@@ -116,8 +116,10 @@ def run_trial(plan: ExperimentPlan, n: int, trials):
     limits = _Limits(RiskSpec(risk.eta, risk.gamma_tilde, psi), n * d)
 
     results: list[dict[str, MetricsReport]] = [{} for _ in seeds]
-    for (row, config), trace in zip(lanes, Lanes(rows, psi, lanes).run()):
-        results[row][config.variant] = build_report(limits, trace, baselines[row])
+    group = Lanes(rows, psi, lanes)
+    group.run()
+    for lane, (row, config) in enumerate(lanes):
+        results[row][config.variant] = build_report(limits, group.trace(lane), baselines[row])
     return list(zip(seeds, statuses, results))
 
 

@@ -24,7 +24,6 @@ read requests through the same ``RequestDraws.fill``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -149,13 +148,6 @@ class RequestDraws:
 def request_fields(config: GeneratorConfig, t: int):
     """Coefficients (c, a_bar, k_diag) of request t, independent of order."""
     return RequestDraws(config)(t)
-
-
-def stream_requests(config: GeneratorConfig) -> Iterator[tuple]:
-    """Yield each request's (c, a_bar, k_diag) in arrival order, lazily."""
-    draws = RequestDraws(config)
-    for start in range(0, config.n, CHUNK):
-        yield from zip(*draws.block(start, min(start + CHUNK, config.n)))
 
 
 def generate(config: GeneratorConfig) -> Instance:

@@ -15,14 +15,11 @@ import zipfile
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, StructuralError
 from .gaussian import safety_coefficient
-
-Decision = Optional[int]
 
 
 def _frozen(a, dtype=float) -> np.ndarray:

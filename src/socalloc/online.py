@@ -91,10 +91,13 @@ class Lanes:
     or for ``marginal-dynamic`` the remaining cone budget spread over
     the remaining steps, max((n d - G)/(n - t), 0) with G the exact cone
     usage so far.  ``prices`` holds the lanes' current prices, one row
-    per lane in the order given.  With ``record_steps``, ``steps`` is a
+    per lane in the order given.  ``picks[i, t]`` is lane i's pick at
+    step t, 0 for a skip and l + 1 for scheme l, in the smallest
+    unsigned dtype that holds k.  With ``record_steps``, ``steps`` is a
     pair of arrays filled as the lanes step: ``steps[0][i, t]`` is lane
     i's best margin at step t and ``steps[1][i, t]`` its prices after
-    that step; its picks are in its trace.
+    that step.  ``run(limit)`` steps the lanes; ``trace(i)`` builds lane
+    i's trace over the steps taken so far.
 
     Every operation is elementwise per lane or a per-lane product, so a
     lane's arithmetic, and with it its trace, does not depend on the
@@ -122,8 +125,8 @@ class Lanes:
         self._mg, self._dyn = mg, dyn
         self.t = 0
         self.prices = np.zeros((B, m))
+        self.picks = np.zeros((B, n), dtype=np.min_scalar_type(k))
         self.steps = (np.empty((B, n)), np.empty((B, n, m))) if record_steps else None
-        self._decisions: list = []
         self._objective = np.zeros(B)
         self._max_dual_inf = np.zeros(B)
         self._step_size = 1.0 / math.sqrt(n)
@@ -158,28 +161,24 @@ class Lanes:
         self._offsets = np.arange(0, B * (k + 1), k + 1)[:, None]
         self._no_ties = np.full((B, 1), k, dtype=np.intp).tobytes()
 
-    def run(self, limit: int | None = None) -> list[SolutionTrace]:
-        """Step every lane to ``limit`` (default n); the traces, in lane order."""
+    def run(self, limit: int | None = None) -> None:
+        """Step every lane to ``limit`` (default n)."""
         stop = self.n if limit is None else min(limit, self.n)
         while self.t < stop:
             self.advance(min(self.block, stop - self.t))
-        B = len(self._rows)
-        picks = (np.concatenate(self._decisions) if self._decisions
-                 else np.empty((0, B), dtype=np.intp))
-        out: list = [None] * B
-        for i, lane in enumerate(self._order):
-            out[lane] = SolutionTrace(
-                decisions=tuple(None if x == 0 else x - 1 for x in picks[:, i].tolist()),
-                objective=float(self._objective[i]),
-                mean_consumption=self._mean_var[i, 0, 0],
-                variance_accum=self._mean_var[i, 0, 1],
-                max_dual_inf=float(self._max_dual_inf[i]))
-        return out
 
-    def advance(self, steps: int) -> np.ndarray:
-        """Take the next ``steps`` (at most ``block``) steps; returns their
-        picks, shape (steps, B) in sorted lane order, 0 for a skip and
-        l + 1 for scheme l."""
+    def trace(self, lane: int) -> SolutionTrace:
+        """The trace of lane ``lane`` (in the order given) over the steps taken."""
+        i = self._order.index(lane)
+        return SolutionTrace(
+            decisions=tuple(None if x == 0 else x - 1 for x in self.picks[lane, :self.t].tolist()),
+            objective=float(self._objective[i]),
+            mean_consumption=self._mean_var[i, 0, 0],
+            variance_accum=self._mean_var[i, 0, 1],
+            max_dual_inf=float(self._max_dual_inf[i]))
+
+    def advance(self, steps: int) -> None:
+        """Take the next ``steps`` (at most ``block``) steps."""
         t0, n, k, mg, dyn = self.t, self.n, self.k, self._mg, self._dyn
         if not 0 < steps <= self.block or t0 + steps > n:
             raise StructuralError(f"cannot take {steps} steps at step {t0} of {n}")
@@ -264,13 +263,11 @@ class Lanes:
             [start[None, :, 0], AK[block, lanes, picks, :2]]), axis=0)[-1]
         self._max_dual_inf = np.fmax(self._max_dual_inf,
                                      P[1:steps + 1].max(axis=(0, 2, 3)))
-        picks = picks.copy()
-        self._decisions.append(picks)
+        self.picks[self._order, t0:self.t] = picks.T
         if self.steps is not None:
             values, prices = self.steps
             values[self._order, t0:self.t] = margins[:steps, :, 0].max(-1).T
             prices[self._order, t0:self.t] = P[1:steps + 1, :, 0].transpose(1, 0, 2)
-        return picks
 
     def _break_ties(self, e, pick, t):
         """Draw among the tied best schemes of the accepting lanes."""
@@ -282,9 +279,10 @@ class Lanes:
 
 class OnlineSolver:
     """One irrevocable pass over ``instance``, which carries psi (see
-    :func:`~socalloc.transform.to_soc`): a lane set of one lane.
+    :func:`~socalloc.transform.to_soc`): ``lanes``, a lane set of one lane.
 
-    ``run(limit)`` steps to ``limit`` and returns the trace so far; the
+    ``run(limit)`` runs ``lanes`` to ``limit`` and returns ``lanes.trace(0)``,
+    the trace so far, read from the picks ``lanes.picks[0]``; the
     decision at step t depends only on data revealed at steps <= t and
     the seed, so a run truncated after any prefix reproduces the full
     run's first decisions exactly.  With ``record_steps``, ``steps``
@@ -306,7 +304,8 @@ class OnlineSolver:
         return None if record is None else (record[0][0, :t], record[1][0, :t])
 
     def run(self, limit: int | None = None) -> SolutionTrace:
-        return self.lanes.run(limit)[0]
+        self.lanes.run(limit)
+        return self.lanes.trace(0)
 
 
 def run_online(instance: Instance, lin: LinearizedInstance,

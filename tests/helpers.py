@@ -256,7 +256,9 @@ def forced_run(instance, decisions, variant: str = "marginal", start: float = 10
 
 def step(solver):
     """One step of a one-lane solver; returns its decision."""
-    pick = int(solver.lanes.advance(1)[0, 0])
+    lanes = solver.lanes
+    lanes.advance(1)
+    pick = int(lanes.picks[0, lanes.t - 1])
     return None if pick == 0 else pick - 1
 
 

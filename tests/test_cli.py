@@ -1009,19 +1009,20 @@ class TestByteEdits:
 
 
 class TestPipelineEquivalence:
-    def test_composed_pipeline_matches_experiment_command(self, tmp_path, capsys):
+    @pytest.mark.parametrize("model", ["uniform", "chi-square"])
+    def test_composed_pipeline_matches_experiment_command(self, tmp_path, capsys, model):
         # the harness derives the cell seed from (master, n, trial); feeding
         # that same seed through the file pipeline must reproduce the
-        # harness row exactly
+        # harness row exactly, its model and variant labels included
         master, n = 9, 60
         seed = trial_seed(master, n, 0)
-        assert run(tmp_path, "experiment", "--experiment", "uniform",
+        assert run(tmp_path, "experiment", "--experiment", model,
                    "--n-grid", str(n), "--trials", "1", "--m", "4", "--k", "5",
                    "--eta", ETA, "--seed", str(master),
                    "--variants", "vanilla", "--out", "res") == 0
         harness_row = (tmp_path / "res" / "metrics.csv").read_text().splitlines()[2]
 
-        assert run(tmp_path, "generate", "--experiment", "uniform",
+        assert run(tmp_path, "generate", "--experiment", model,
                    "--n", str(n), "--m", "4", "--k", "5", "--eta", ETA,
                    "--seed", str(seed)) == 0
         assert run(tmp_path, "solve-online", "--instance", "instance.json",
@@ -1030,10 +1031,11 @@ class TestPipelineEquivalence:
                    "--tol", "1e-6") == 0
         assert run(tmp_path, "evaluate", "--instance", "instance.json",
                    "--trace", "trace.json", "--baseline", "certificate.json",
-                   "--experiment", "uniform", "--variant", "vanilla",
+                   "--experiment", model, "--variant", "vanilla",
                    "--seed", str(seed)) == 0
         pipeline_row = (tmp_path / "metrics.csv").read_text().splitlines()[2]
 
-        # identical metric cells; only the trial/seed labels may differ in
-        # representation
+        # identical labels and metric cells; only the trial/seed labels may
+        # differ in representation
+        assert pipeline_row.split(",")[:2] == harness_row.split(",")[:2]
         assert pipeline_row.split(",")[6:] == harness_row.split(",")[6:]

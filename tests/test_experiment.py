@@ -14,6 +14,8 @@ from socalloc import (ConfigError, ExperimentPlan, GeneratorConfig, SocAllocErro
 from socalloc.experiment import _plan_fingerprint
 from socalloc.metrics import csv_header, csv_row
 
+from helpers import traced_peak_mb
+
 ETA_GRID = (0.65, 0.75, 0.85, 0.95)
 
 
@@ -73,6 +75,18 @@ class TestRunTrial:
             tracemalloc.stop()
         assert status == "ok" and len(peaks) == 1
         assert peaks[0] < 4.5
+
+    def test_lanes_hold_each_pick_once(self):
+        # 20 vanilla lanes at n = 20000: an intp copy of each block's picks,
+        # their concatenation and every lane's decisions at once peaked at
+        # 10.66 MiB; one small array of picks, and one lane's decisions at a
+        # time, at 1.98 MiB
+        gen = GeneratorConfig("uniform", n=20000, m=4, k=5, eta=ETA_GRID, seed=0)
+        plan = ExperimentPlan(generator=gen, n_grid=(20000,), trials=20,
+                              variants=(VariantConfig("vanilla"),), output_dir="unused",
+                              master_seed=404, compute_baseline=False)
+        assert traced_peak_mb(run_trial, plan, 20000, range(20),
+                              warm=lambda: run_trial(plan, 50, range(2))) < 4
 
     def test_baseline_skippable(self):
         gen = GeneratorConfig("uniform", n=20, m=4, k=5, eta=ETA_GRID, seed=0)

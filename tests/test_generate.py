@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from socalloc import (ConfigError, DomainError, GeneratorConfig, StructuralError,
-                      generate, request_fields, stream_requests, to_soc)
+                      generate, request_fields, to_soc)
 from socalloc.generate import CHUNK, RequestDraws
+from socalloc.model import blocks
 
 from helpers import reference_request
 
@@ -41,14 +42,6 @@ class TestOrderIndependence:
             assert np.array_equal(a_bar, inst.a_bar[t])
             assert np.array_equal(k_diag, inst.k_diag[t])
 
-    def test_streaming_equals_batch(self):
-        cfg = GeneratorConfig("uniform", n=25, m=4, k=5, seed=5)
-        inst = generate(cfg)
-        for t, (c, a_bar, k_diag) in enumerate(stream_requests(cfg)):
-            assert np.array_equal(c, inst.c[t])
-            assert np.array_equal(a_bar, inst.a_bar[t])
-            assert np.array_equal(k_diag, inst.k_diag[t])
-
 
 class TestReferenceStreams:
     # every request equals a fresh Philox keyed by the seed at counter
@@ -71,8 +64,9 @@ class TestReferenceStreams:
             for got in (request_fields(cfg, t), draws(t),
                         (inst.c[t], inst.a_bar[t], inst.k_diag[t])):
                 assert all(np.array_equal(a, b) for a, b in zip(got, want[t]))
-        for t, row in enumerate(stream_requests(cfg)):
-            assert all(np.array_equal(a, b) for a, b in zip(row, want[t]))
+        for start, *rows in blocks(RequestDraws(cfg)):
+            for t, row in enumerate(zip(*rows), start):
+                assert all(np.array_equal(a, b) for a, b in zip(row, want[t]))
         for i, t in enumerate(range(3, 9)):
             assert all(np.array_equal(a[i], b) for a, b in zip(block, want[t]))
 

@@ -413,6 +413,14 @@ def lanes_over(instances, lanes):
     return Lanes(instances, instances[0].risk.psi, lanes)
 
 
+def lane_traces(instances, lanes, limit=None):
+    """Every lane's trace, in the order given, after a lane set over
+    ``instances`` has run to ``limit``."""
+    group = lanes_over(instances, lanes)
+    group.run(limit)
+    return [group.trace(lane) for lane in range(len(lanes))]
+
+
 class TestLanes:
     @pytest.mark.parametrize("experiment", ["uniform", "chi_square"])
     def test_lanes_match_single_runs(self, experiment):
@@ -422,7 +430,7 @@ class TestLanes:
         instances = [to_soc(generate(GeneratorConfig(
             experiment, n=300, m=4, k=5, eta=ETA_GRID, seed=seed))) for seed in seeds]
         lanes = lane_set(seeds)
-        traces = lanes_over(instances, lanes).run()
+        traces = lane_traces(instances, lanes)
         assert len(traces) == len(lanes)
         for (row, config), trace in zip(lanes, traces):
             assert_same_trace(trace, OnlineSolver(instances[row], config).run())
@@ -454,7 +462,7 @@ class TestLanes:
         lanes = lane_set([1, 2, 3])
         # the same instance twice under two seeds: ties make them part ways
         lanes += [(0, VariantConfig("vanilla", 4))]
-        traces = lanes_over(instances, lanes).run()
+        traces = lane_traces(instances, lanes)
         for (row, config), trace in zip(lanes, traces):
             assert_same_trace(trace, OnlineSolver(instances[row], config).run())
         assert traces[0].decisions != traces[-1].decisions
@@ -464,8 +472,8 @@ class TestLanes:
         instances = [to_soc(generate(GeneratorConfig(
             "uniform", n=100, m=4, k=5, eta=ETA_GRID, seed=seed))) for seed in seeds]
         lanes = lane_set(seeds)
-        forward = lanes_over(instances, lanes).run()
-        backward = lanes_over(instances, lanes[::-1]).run()[::-1]
+        forward = lane_traces(instances, lanes)
+        backward = lane_traces(instances, lanes[::-1])[::-1]
         for a, b in zip(forward, backward):
             assert_same_trace(a, b)
 
@@ -487,6 +495,16 @@ class TestLanes:
         for i, row in enumerate(group._rows[:2]):
             assert np.array_equal(group._columns[0, i],
                                   a_tilde(linearize(instances[row]))[0])
+
+    @pytest.mark.parametrize("k", [255, 256])
+    def test_picks_hold_the_last_scheme(self, k):
+        # a pick is l + 1 for scheme l: k = 255 fills a uint8, and at k = 256
+        # a uint8 would wrap scheme 255 to 0, a skip
+        rng = np.random.default_rng(46)
+        inst = random_instance(rng, n=6, m=2, k=k, psi=np.ones(2))
+        decisions = [k - 1, None, 0, k - 1, k // 2, None]
+        trace, _ = forced_run(inst, decisions)
+        assert trace.decisions == tuple(decisions)
 
     def test_nonfinite_coefficients_refused(self):
         rng = np.random.default_rng(42)
@@ -514,8 +532,8 @@ class TestProperties:
         if coarse:
             instances = [coarsened(inst) for inst in instances]
         lanes = lane_set([seed + row for row in range(rows)])
-        full = lanes_over(instances, lanes).run()
-        prefix = lanes_over(instances, lanes).run(limit=limit)
+        full = lane_traces(instances, lanes)
+        prefix = lane_traces(instances, lanes, limit=limit)
         for (row, config), lane_full, lane_prefix in zip(lanes, full, prefix):
             alone = OnlineSolver(instances[row], config).run()
             again = OnlineSolver(instances[row], config).run()
